@@ -15,6 +15,8 @@
 #   make bench         write the BENCH_serve.json performance snapshot
 #   make bench-check   CI perf smoke: assert the pinned scenario's
 #                      deterministic event count (never wall time)
+#   make hostbench-smoke  run the four repository-benchmark workloads
+#                      briefly at seed 0; fail unless each is correct
 #   make plan-examples validate every shipped experiment spec with
 #                      `presto plan` (CI keeps examples/experiments/ green)
 
@@ -27,7 +29,7 @@ COVERAGE_FLOOR ?= 80
 .PHONY: test smoke sweep golden coverage coverage-diagnosis coverage-serve \
 	coverage-api coverage-ctl coverage-stream coverage-obs \
 	coverage-faults coverage-lint lint typecheck trace-smoke bench \
-	bench-check plan-examples
+	bench-check hostbench-smoke plan-examples
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -82,6 +84,9 @@ bench:
 
 bench-check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/perf/bench_serve.py --check
+
+hostbench-smoke:
+	$(PYTHON) tools/hostbench_smoke.py
 
 plan-examples:
 	@for spec in examples/experiments/*; do \

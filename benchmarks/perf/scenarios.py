@@ -1,7 +1,8 @@
 """Pinned performance scenarios for the kernel benchmark suite.
 
 Each scenario is deterministic: the simulated results (makespan, SPS,
-events processed) must be identical on every host and every run, while
+events processed and in-lined) must be identical on every host and
+every run, while
 the wall-clock seconds measure how fast *this* checkout's kernel chews
 through the same event stream.  ``make bench`` records all scenarios
 into ``BENCH_serve.json``; ``make bench-check`` replays only the pinned
@@ -122,6 +123,7 @@ def run_serve_scenario(name: str) -> dict:
         policies[policy] = {
             "wall_seconds": round(wall, 3),
             "events": report.events_processed,
+            "events_inlined": report.events_inlined,
             "events_per_sec": int(report.events_processed / wall),
             "makespan_s": round(report.makespan, 3),
             "aggregate_sps": round(report.aggregate_sps, 3),
@@ -159,6 +161,7 @@ def run_stream_scenario(name: str) -> dict:
         "spec": dict(spec),
         "wall_seconds": round(wall, 3),
         "events": report.events_processed,
+        "events_inlined": report.events_inlined,
         "events_per_sec": int(report.events_processed / wall),
         "makespan_s": round(report.makespan, 3),
         "p99_latency_s": round(report.p99_latency, 3),
@@ -192,6 +195,7 @@ def run_ctl_scenario(name: str) -> dict:
         "slots": spec["slots"],
         "wall_seconds": round(wall, 3),
         "events": report.events_processed,
+        "events_inlined": report.events_inlined,
         "events_per_sec": int(report.events_processed / wall),
         "makespan_s": round(report.service.makespan, 3),
         "fault_windows": len(report.service.fault_events),
@@ -242,6 +246,7 @@ def run_link_microbench(streams: int = LINK_STREAMS,
         "peak_streams": link.peak_streams,
         "wall_seconds": round(wall, 3),
         "events": sim.events_processed,
+        "events_inlined": sim.events_inlined,
         "events_per_sec": int(sim.events_processed / wall),
         "simulated_seconds": round(sim.now, 3),
         "bytes_moved_gb": round(link.bytes_moved / 1e9, 3),

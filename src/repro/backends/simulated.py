@@ -33,7 +33,7 @@ from repro.formats.compression import get_codec
 from repro.pipelines.base import Representation, SplitPlan
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
-from repro.sim.events import Event, Simulation, Timeout, all_of
+from repro.sim.events import Event, Simulation, all_of
 from repro.sim.trace import ResourceTrace
 
 
@@ -256,29 +256,31 @@ class SimulatedBackend:
         gil_waiters = gil._waiters
         cores = machine.cores
 
-        def native(cpu_seconds: float) -> Generator[Event, None, None]:
+        def native(cpu_seconds: float
+                   ) -> Generator[Event | float, None, None]:
             """Inlined ``machine.compute_native`` (hot path, one frame)."""
             machine.cpu_busy_seconds += cpu_seconds
             yield cores.acquire()
             try:
-                yield Timeout(sim, cpu_seconds)
+                yield cpu_seconds
             finally:
                 cores.release()
 
-        def worker(jobs: list[_JobPlan]) -> Generator[Event, None, None]:
+        def worker(jobs: list[_JobPlan]
+                   ) -> Generator[Event | float, None, None]:
             for job in jobs:
                 k = job.samples
                 opens = opens_per_sample * k
                 if opens > 0:
                     yield metadata.acquire()
                     try:
-                        yield Timeout(sim, opens * open_latency)
+                        yield opens * open_latency
                     finally:
                         metadata.release()
                 read_bytes = k * source_bytes_ps
                 counters["read"] += read_bytes
                 yield read_link.transfer(read_bytes, link_tag)
-                yield Timeout(sim, k * overhead_ps)
+                yield k * overhead_ps
                 for holds_gil, cpu_seconds in offline_charges:
                     if holds_gil:
                         # Inlined gil.hold_scaled: convoy per sample.
@@ -288,7 +290,7 @@ class SimulatedBackend:
                             if waiters > gil_max_waiters:
                                 waiters = gil_max_waiters
                             per_unit = cpu_seconds + waiters * gil_convoy
-                            yield Timeout(sim, k * per_unit)
+                            yield k * per_unit
                         finally:
                             gil.release()
                     else:
@@ -421,9 +423,10 @@ class SimulatedBackend:
         # hottest code in the repository -- every simulated sample batch of
         # every strategy and every tenant passes through it.
 
-        def worker(jobs: list[_JobPlan]) -> Generator[Event, None, None]:
+        def worker(jobs: list[_JobPlan]
+                   ) -> Generator[Event | float, None, None]:
             if shuffle_buffer and jobs and jobs[0].thread_id == 0:
-                yield Timeout(sim, cal.SHUFFLE_BUFFER_ALLOC)
+                yield cal.SHUFFLE_BUFFER_ALLOC
             lane = (f"{span_track}/t{jobs[0].thread_id}"
                     if detail is not None and jobs else span_track)
             batch_span = None
@@ -450,7 +453,7 @@ class SimulatedBackend:
                                     waiters = gil_max_waiters
                                 per_unit = (cpu_seconds
                                             + waiters * gil_convoy)
-                                yield Timeout(sim, k * per_unit)
+                                yield k * per_unit
                             finally:
                                 gil.release()
                             if trace is not None:
@@ -459,7 +462,7 @@ class SimulatedBackend:
                             machine.cpu_busy_seconds += k * cpu_seconds
                             yield cores.acquire()
                             try:
-                                yield Timeout(sim, k * cpu_seconds)
+                                yield k * cpu_seconds
                             finally:
                                 cores.release()
                             if trace is not None:
@@ -471,7 +474,7 @@ class SimulatedBackend:
                         if waiters > dispatch_max_waiters:
                             waiters = dispatch_max_waiters
                         per_unit = app_iter_cost + waiters * dispatch_convoy
-                        yield Timeout(sim, k * per_unit)
+                        yield k * per_unit
                     finally:
                         dispatch.release()
                     if trace is not None:
@@ -503,8 +506,7 @@ class SimulatedBackend:
                         bracket = sim._now
                         yield metadata.acquire()
                         try:
-                            yield Timeout(sim, opens * open_latency
-                                          * open_factor)
+                            yield opens * open_latency * open_factor
                         finally:
                             metadata.release()
                         if trace is not None:
@@ -519,14 +521,14 @@ class SimulatedBackend:
                             sim._now, parent=batch_span.id,
                             args={"bytes": disk_bytes})
                     page_cache.insert(chunk_key, disk_bytes)
-                yield Timeout(sim, k * overhead_ps)
+                yield k * overhead_ps
                 if decompress_bw is not None:
                     bracket = sim._now
                     seconds = k * stored_bytes_ps_raw / decompress_bw
                     machine.cpu_busy_seconds += seconds
                     yield cores.acquire()
                     try:
-                        yield Timeout(sim, seconds)
+                        yield seconds
                     finally:
                         cores.release()
                     if trace is not None:
@@ -537,7 +539,7 @@ class SimulatedBackend:
                     machine.cpu_busy_seconds += seconds
                     yield cores.acquire()
                     try:
-                        yield Timeout(sim, seconds)
+                        yield seconds
                     finally:
                         cores.release()
                     if trace is not None:
@@ -551,7 +553,7 @@ class SimulatedBackend:
                             if waiters > gil_max_waiters:
                                 waiters = gil_max_waiters
                             per_unit = cpu_seconds + waiters * gil_convoy
-                            yield Timeout(sim, k * per_unit)
+                            yield k * per_unit
                         finally:
                             gil.release()
                         if trace is not None:
@@ -560,7 +562,7 @@ class SimulatedBackend:
                         machine.cpu_busy_seconds += k * cpu_seconds
                         yield cores.acquire()
                         try:
-                            yield Timeout(sim, k * cpu_seconds)
+                            yield k * cpu_seconds
                         finally:
                             cores.release()
                         if trace is not None:
@@ -571,7 +573,7 @@ class SimulatedBackend:
                     machine.cpu_busy_seconds += seconds
                     yield cores.acquire()
                     try:
-                        yield Timeout(sim, seconds)
+                        yield seconds
                     finally:
                         cores.release()
                     if trace is not None:
@@ -588,7 +590,7 @@ class SimulatedBackend:
                     if waiters > dispatch_max_waiters:
                         waiters = dispatch_max_waiters
                     per_unit = dispatch_cost + waiters * dispatch_convoy
-                    yield Timeout(sim, k * per_unit)
+                    yield k * per_unit
                 finally:
                     dispatch.release()
                 if trace is not None:

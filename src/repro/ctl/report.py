@@ -149,6 +149,10 @@ class ControlReport:
         return self.service.events_processed
 
     @property
+    def events_inlined(self) -> int:
+        return self.service.events_inlined
+
+    @property
     def wall_seconds(self) -> float:
         return self.service.wall_seconds
 

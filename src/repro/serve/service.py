@@ -189,6 +189,10 @@ class ServiceReport:
     #: is deterministic, so this is a machine-independent cost metric
     #: (the perf suite's CI smoke asserts it instead of wall seconds).
     events_processed: int = 0
+    #: Kernel queue entries skipped by next-in-line resumption
+    #: (:attr:`repro.sim.events.Simulation.events_inlined`); deterministic
+    #: too, and left out of the report's rendered and JSON forms.
+    events_inlined: int = 0
     #: Wall-clock seconds the host spent running the simulation
     #: (machine-dependent; track the trend, never assert it).
     wall_seconds: float = 0.0
@@ -673,6 +677,7 @@ class PreprocessingService:
             metadata_peak_in_use=self._cluster.metadata.peak_in_use,
             page_cache_evictions=self._machine.page_cache.evictions,
             events_processed=self._sim.events_processed,
+            events_inlined=self._sim.events_inlined,
         )
         if self._fault_engine is not None:
             report.fault_events = list(self._fault_engine.events)

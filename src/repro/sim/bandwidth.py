@@ -321,21 +321,38 @@ class SharedBandwidth:
         # relative term, mathematically simultaneous completions would
         # split into separate wake-ups.
         cutoff = target + _EPSILON_BYTES + target * 1e-12
-        finished = [heappop(heap)]
-        while heap and heap[0][0] <= cutoff:
-            finished.append(heappop(heap))
-        if len(finished) > 1:
+        head = heappop(heap)
+        completed = self._completed_bytes
+        admit_sum = self._admit_sum
+        lone = None
+        if heap and heap[0][0] <= cutoff:
+            finished = [head]
+            while heap and heap[0][0] <= cutoff:
+                finished.append(heappop(heap))
             # Complete batches in tie-break order: admission (default)
             # matches the historical active-list scan; tag order pins
             # knife-edge scenarios to stable identities.  Heap order
             # would rank ulp-level threshold differences above either.
             finished.sort(key=self._batch_key)
-        completed = self._completed_bytes
-        admit_sum = self._admit_sum
-        for item in finished:
-            completed += item[3]
-            admit_sum -= item[2]
-            item[4].succeed()
+            for item in finished:
+                completed += item[3]
+                admit_sum -= item[2]
+                item[4].succeed()
+        else:
+            completed += head[3]
+            admit_sum -= head[2]
+            lone = head[4]
+            callbacks = lone.callbacks
+            # A lone completion with a single waiter that would be the
+            # next event popped resumes that waiter in-line below, once
+            # the link state and the re-armed wake-up are final -- the
+            # state the waiter would have found after the queue round
+            # trip.  Deciding here, before re-arming, keeps the
+            # completion ahead of the new wake-up in either path.
+            if (callbacks is None or type(callbacks) is list
+                    or not self.sim.next_in_line()):
+                lone.succeed()
+                lone = None
         self._completed_bytes = completed
         n = len(heap)
         if n == 0:
@@ -345,11 +362,17 @@ class SharedBandwidth:
             self._admit_sum = 0.0
             self._rate = 0.0
             self._wake_event = None
-            return
-        self._admit_sum = admit_sum
-        rate = self.aggregate_bw / n
-        per_stream = self.per_stream_bw
-        if per_stream < rate:
-            rate = per_stream
-        self._rate = rate
-        self._arm_wake()
+        else:
+            self._admit_sum = admit_sum
+            rate = self.aggregate_bw / n
+            per_stream = self.per_stream_bw
+            if per_stream < rate:
+                rate = per_stream
+            self._rate = rate
+            self._arm_wake()
+        if lone is not None:
+            lone._triggered = lone._processed = True
+            waiter = lone.callbacks
+            lone.callbacks = None
+            self.sim._events_inlined += 1
+            waiter(lone)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.sim.bandwidth import SharedBandwidth
-from repro.sim.events import Event, Simulation, Timeout
+from repro.sim.events import Event, Simulation
 from repro.sim.pagecache import PageCache
 from repro.sim.resources import Lock, Resource
 from repro.units import GB, US
@@ -61,7 +61,7 @@ class Machine:
     # -- execution helpers -----------------------------------------------------
 
     def compute_native(self, cpu_seconds: float
-                       ) -> Generator[Event, None, None]:
+                       ) -> Generator[Event | float, None, None]:
         """Run framework-native work: occupies one core, scales with cores."""
         if cpu_seconds <= 0:
             return
@@ -69,12 +69,12 @@ class Machine:
         cores = self.cores
         yield cores.acquire()
         try:
-            yield Timeout(self.sim, cpu_seconds)
+            yield cpu_seconds
         finally:
             cores.release()
 
     def compute_external(self, cpu_seconds: float
-                         ) -> Generator[Event, None, None]:
+                         ) -> Generator[Event | float, None, None]:
         """Run external-library work: holds the GIL, serializing all threads.
 
         The convoy overhead grows with the number of blocked threads, so
@@ -87,12 +87,12 @@ class Machine:
         gil = self.gil
         yield gil.acquire()
         try:
-            yield Timeout(self.sim, cpu_seconds + gil.contention_penalty())
+            yield cpu_seconds + gil.contention_penalty()
         finally:
             gil.release()
 
     def dispatch_samples(self, n_samples: float, per_sample_cost: Optional[
-            float] = None) -> Generator[Event, None, None]:
+            float] = None) -> Generator[Event | float, None, None]:
         """Hand ``n_samples`` results across the serialized dispatch lock."""
         cost = self.dispatch_cost if per_sample_cost is None else per_sample_cost
         yield from self.dispatch.hold(n_samples * cost)

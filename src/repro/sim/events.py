@@ -14,6 +14,10 @@ the kernel small enough to test exhaustively:
   returns, so processes can wait on each other.
 * :func:`all_of` -- barrier over a list of events.
 
+A process waits on an :class:`Event` (``yield event``) or for a delay
+(``yield 2.5``), which means exactly ``yield sim.timeout(2.5)`` without
+allocating the :class:`Timeout` (see :class:`Process`).
+
 The hot path is deliberately allocation-light: callback lists are created
 lazily (most events carry exactly one callback), scheduling is inlined
 into :meth:`Event.succeed`/:class:`Timeout` instead of routing through a
@@ -21,6 +25,11 @@ helper, and the :meth:`Simulation.run` loop resolves events without a
 per-event method-call chain.  :attr:`Simulation.events_processed` counts
 resolved events; because the kernel is deterministic, that counter is a
 machine-independent proxy for simulation cost (``make bench-check``).
+
+A resource grant or link completion that would be the very next event
+popped resumes its waiter in-line instead of taking a queue round trip
+(:meth:`Simulation.next_in_line`); :attr:`Simulation.events_inlined`
+counts the skipped queue entries.
 """
 
 from __future__ import annotations
@@ -31,8 +40,14 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
-#: Type of the generators that drive processes.
-ProcessGenerator = Generator["Event", Any, Any]
+#: Type of the generators that drive processes: they yield events or
+#: non-negative float delays.
+ProcessGenerator = Generator["Event | float", Any, Any]
+
+
+def _bad_delay(delay: Any) -> SimulationError:
+    return SimulationError(
+        f"delay must be a non-negative number, got {delay!r}")
 
 
 class Event:
@@ -91,14 +106,15 @@ class Event:
         """Trigger the event successfully after ``delay`` simulated seconds."""
         if self._triggered:
             raise SimulationError("event triggered twice")
+        # Validate before mutating: a rejected delay leaves the event
+        # pending, so the caller may retry.
+        if delay and not delay >= 0:
+            raise _bad_delay(delay)
         self._triggered = True
         self._value = value
         sim = self.sim
         sim._sequence += 1
         if delay:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule into the past: {delay}")
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
         else:
             # Same-instant events skip the heap: the run loop merges this
@@ -112,14 +128,13 @@ class Event:
             raise SimulationError("event triggered twice")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() expects an exception instance")
+        if delay and not delay >= 0:
+            raise _bad_delay(delay)
         self._triggered = True
         self._exception = exception
         sim = self.sim
         sim._sequence += 1
         if delay:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule into the past: {delay}")
             heappush(sim._queue, (sim._now + delay, sim._sequence, self))
         else:
             sim._fifo.append((sim._sequence, self))
@@ -147,8 +162,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulation", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not delay >= 0:   # also rejects NaN
+            raise _bad_delay(delay)
         # Inlined Event.__init__ + scheduling: timeouts are the single most
         # allocated object in a run, and the super().__init__ chain plus a
         # _schedule call measurably slows the kernel.
@@ -167,9 +182,18 @@ class Timeout(Event):
 
 
 class Process(Event):
-    """Drives a generator; the process is an event that fires on return."""
+    """Drives a generator; the process is an event that fires on return.
 
-    __slots__ = ("_generator", "name", "_resume_cb")
+    The generator yields an :class:`Event` to wait for it, or a
+    non-negative float to wait that many simulated seconds.  A float
+    wait is scheduled on the process's one reusable timer at exactly the
+    sequence point ``yield sim.timeout(delay)`` would have taken, so the
+    two spellings give identical schedules; a negative or NaN delay is
+    thrown into the generator as a :class:`SimulationError`, as the
+    :class:`Timeout` constructor would have raised it there.
+    """
+
+    __slots__ = ("_generator", "name", "_resume_cb", "_timer")
 
     def __init__(self, sim: "Simulation", generator: ProcessGenerator,
                  name: str = "process"):
@@ -179,10 +203,16 @@ class Process(Event):
         # One bound method for the process lifetime instead of a fresh
         # bound-method object per yielded event.
         self._resume_cb = self._resume
-        # Bootstrap: resume the generator once the simulation starts.
-        bootstrap = Event(sim)
-        bootstrap.callbacks = self._resume_cb
-        bootstrap.succeed()
+        # The timer behind float waits: only this process ever waits on
+        # it, and a process waits on one thing at a time, so one object
+        # serves every wait.  Its first use is the bootstrap, which
+        # resumes the generator once the simulation starts.
+        timer = Event(sim)
+        timer._triggered = True
+        timer.callbacks = self._resume_cb
+        self._timer = timer
+        sim._sequence += 1
+        sim._fifo.append((sim._sequence, timer))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value of the event that fired."""
@@ -203,23 +233,43 @@ class Process(Event):
                 # watching, the run loop re-raises it as unhandled.
                 super().fail(error)
                 return
-            try:
-                if target._processed:
-                    # The event's timestamp already passed: resume in-line.
-                    event = target
-                    continue
-                callbacks = target.callbacks
-            except AttributeError:
-                raise SimulationError(
-                    f"process {self.name!r} yielded "
-                    f"{type(target).__name__}, expected an Event"
-                ) from None
-            if callbacks is None:
-                target.callbacks = self._resume_cb
-            elif type(callbacks) is list:
-                callbacks.append(self._resume_cb)
+            if type(target) is float:
+                delay = target
             else:
-                target.callbacks = [callbacks, self._resume_cb]
+                try:
+                    if target._processed:
+                        # The event's timestamp already passed: resume
+                        # in-line.
+                        event = target
+                        continue
+                    callbacks = target.callbacks
+                except AttributeError:
+                    if not isinstance(target, float):
+                        raise SimulationError(
+                            f"process {self.name!r} yielded "
+                            f"{type(target).__name__}, expected an Event "
+                            f"or a non-negative float delay") from None
+                    delay = float(target)   # e.g. numpy.float64
+                else:
+                    if callbacks is None:
+                        target.callbacks = self._resume_cb
+                    elif type(callbacks) is list:
+                        callbacks.append(self._resume_cb)
+                    else:
+                        target.callbacks = [callbacks, self._resume_cb]
+                    return
+            if not delay >= 0:   # also rejects NaN
+                event = Event(self.sim)
+                event._exception = _bad_delay(delay)
+                continue
+            sim = self.sim
+            timer = self._timer
+            timer.callbacks = self._resume_cb
+            sim._sequence += 1
+            if delay:
+                heappush(sim._queue, (sim._now + delay, sim._sequence, timer))
+            else:
+                sim._fifo.append((sim._sequence, timer))
             return
 
 
@@ -284,6 +334,11 @@ class Simulation:
         self._sequence = 0
         self._processes_started = 0
         self._events_processed = 0
+        self._events_inlined = 0
+        #: True only while the run loop (or step) dispatches an event
+        #: with a single callback: then nothing else runs between the
+        #: current callback's return and the next pop (see next_in_line).
+        self._may_inline = False
 
     @property
     def now(self) -> float:
@@ -299,6 +354,33 @@ class Simulation:
         instead of flaky wall-clock numbers.
         """
         return self._events_processed
+
+    @property
+    def events_inlined(self) -> int:
+        """Queue entries skipped by next-in-line resumption.
+
+        Deterministic like :attr:`events_processed`;
+        ``events_processed + events_inlined`` is the count of a kernel
+        that queues every grant and link completion.
+        """
+        return self._events_inlined
+
+    def next_in_line(self) -> bool:
+        """Whether an event triggered now would be the next one popped
+        *and* nothing else would run before it.
+
+        True when a single-callback dispatch is running, the same-instant
+        FIFO is empty and the heap head lies strictly after ``now``.  An
+        event triggered now would enter the FIFO, which then holds only
+        it, and every later trigger gets a larger sequence number -- so
+        it pops the moment the current callback returns.  Resuming its
+        waiter in-line instead gives the identical schedule without the
+        queue round trip; the caller counts it in ``_events_inlined``.
+        """
+        if not self._may_inline or self._fifo:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] > self._now
 
     # -- public construction helpers ---------------------------------------
 
@@ -348,7 +430,11 @@ class Simulation:
         if event is None:
             raise IndexError("step from an empty simulation")
         self._events_processed += 1
-        event._resolve()
+        self._may_inline = type(event.callbacks) is not list
+        try:
+            event._resolve()
+        finally:
+            self._may_inline = False
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
@@ -360,6 +446,7 @@ class Simulation:
         queue = self._queue
         fifo = self._fifo
         events_processed = self._events_processed
+        self._may_inline = True
         try:
             while True:
                 # Merge the same-instant FIFO with the heap in exact
@@ -389,8 +476,12 @@ class Simulation:
                 if callbacks is not None:
                     event.callbacks = None
                     if type(callbacks) is list:
+                        # Later callbacks run between an earlier one's
+                        # return and the next pop: no in-lining here.
+                        self._may_inline = False
                         for callback in callbacks:
                             callback(event)
+                        self._may_inline = True
                     else:
                         callbacks(event)
                 elif event._exception is not None:
@@ -398,6 +489,7 @@ class Simulation:
                     raise event._exception
         finally:
             self._events_processed = events_processed
+            self._may_inline = False
         return self._now
 
     def run_process(self, generator: ProcessGenerator,

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Generator, Optional
 
 from repro.errors import ResourceError
-from repro.sim.events import Event, Simulation, Timeout
+from repro.sim.events import Event, Simulation
 
 
 class Resource:
@@ -27,9 +27,14 @@ class Resource:
 
         yield resource.acquire()
         try:
-            yield sim.timeout(service_time)
+            yield service_time        # or: yield sim.timeout(service_time)
         finally:
             resource.release()
+
+    An uncontended grant whose event would be the next one popped
+    (:meth:`Simulation.next_in_line`) is handed out as the resource's
+    shared, already-processed grant event, so the waiting process
+    resumes in-line; the slot bookkeeping is identical either way.
     """
 
     def __init__(self, sim: Simulation, capacity: int, name: str = "resource"):
@@ -43,6 +48,13 @@ class Resource:
         # Counters for dstat-style introspection.
         self.total_acquisitions = 0
         self.peak_in_use = 0
+        #: The grant handed out by next-in-line acquisitions: triggered
+        #: and processed with this resource as its value, so a process
+        #: yielding it resumes at once.
+        granted = Event(sim)
+        granted._triggered = granted._processed = True
+        granted._value = self
+        self._granted = granted
 
     @property
     def in_use(self) -> int:
@@ -56,17 +68,21 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        grant = Event(self.sim)
-        if self._in_use < self.capacity:
+        in_use = self._in_use
+        sim = self.sim
+        if in_use < self.capacity:
             # Uncontended acquisition: grant the slot immediately.
-            in_use = self._in_use + 1
+            in_use += 1
             self._in_use = in_use
             self.total_acquisitions += 1
             if in_use > self.peak_in_use:
                 self.peak_in_use = in_use
-            grant.succeed(self)
-        else:
-            self._waiters.append(grant)
+            if sim.next_in_line():
+                sim._events_inlined += 1
+                return self._granted
+            return Event(sim).succeed(self)
+        grant = Event(sim)
+        self._waiters.append(grant)
         return grant
 
     def release(self) -> None:
@@ -82,11 +98,12 @@ class Resource:
         else:
             self._in_use = in_use - 1
 
-    def use(self, service_time: float) -> Generator[Event, None, None]:
+    def use(self, service_time: float
+            ) -> Generator[Event | float, None, None]:
         """Process helper: acquire, hold for ``service_time``, release."""
         yield self.acquire()
         try:
-            yield Timeout(self.sim, service_time)
+            yield service_time
         finally:
             self.release()
 
@@ -112,20 +129,20 @@ class Lock(Resource):
         waiters = min(self.queued, self.max_convoy_waiters)
         return waiters * self.convoy_overhead
 
-    def hold(self, base_time: float) -> Generator[Event, None, None]:
+    def hold(self, base_time: float
+             ) -> Generator[Event | float, None, None]:
         """Acquire, hold for ``base_time`` plus convoy penalty, release."""
         yield self.acquire()
         try:
             waiters = len(self._waiters)
             if waiters > self.max_convoy_waiters:
                 waiters = self.max_convoy_waiters
-            yield Timeout(self.sim,
-                          base_time + waiters * self.convoy_overhead)
+            yield base_time + waiters * self.convoy_overhead
         finally:
             self.release()
 
-    def hold_scaled(self, per_unit_time: float,
-                    units: float) -> Generator[Event, None, None]:
+    def hold_scaled(self, per_unit_time: float, units: float
+                    ) -> Generator[Event | float, None, None]:
         """Hold for ``units`` work items, paying convoy overhead *per unit*.
 
         Used when samples are batched into jobs: a job of k samples holds
@@ -138,6 +155,6 @@ class Lock(Resource):
             if waiters > self.max_convoy_waiters:
                 waiters = self.max_convoy_waiters
             per_unit = per_unit_time + waiters * self.convoy_overhead
-            yield Timeout(self.sim, units * per_unit)
+            yield units * per_unit
         finally:
             self.release()

@@ -33,7 +33,7 @@ from repro.faults.gate import slo_shed_decision
 from repro.pipelines.base import SplitPlan
 from repro.sim.cluster import StorageCluster
 from repro.sim.cpu import Machine
-from repro.sim.events import Event, Simulation, Timeout
+from repro.sim.events import Event, Simulation
 from repro.stream.report import (RequestRecord, StreamReport,
                                  TenantStreamResult)
 from repro.stream.requests import StreamTenantSpec, request_plans
@@ -407,7 +407,7 @@ class StreamingService:
             shard.idle.clear()
 
     def _worker_process(self, ctx: _TenantStream, wid: int
-                        ) -> Generator[Event, None, None]:
+                        ) -> Generator[Event | float, None, None]:
         """Pull requests until the stream closes and the queue drains."""
         sim = self._sim
         tracer = self.tracer
@@ -445,7 +445,7 @@ class StreamingService:
         self._live_workers -= 1
 
     def _request_body(self, ctx: _TenantStream, record: RequestRecord
-                      ) -> Generator[Event, None, None]:
+                      ) -> Generator[Event | float, None, None]:
         """Serve one request batch through the shared resource model.
 
         Expression-for-expression the per-job body of
@@ -482,19 +482,18 @@ class StreamingService:
             if opens > 0:
                 yield metadata.acquire()
                 try:
-                    yield Timeout(sim, opens * ctx.open_latency
-                                  * ctx.open_factor)
+                    yield opens * ctx.open_latency * ctx.open_factor
                 finally:
                     metadata.release()
             yield read_link.transfer(disk_bytes, "")
             page_cache.insert(chunk_key, disk_bytes)
-        yield Timeout(sim, k * ctx.overhead_ps)
+        yield k * ctx.overhead_ps
         if ctx.deser_ps is not None:
             seconds = k * ctx.deser_ps
             machine.cpu_busy_seconds += seconds
             yield cores.acquire()
             try:
-                yield Timeout(sim, seconds)
+                yield seconds
             finally:
                 cores.release()
         for holds_gil, cpu_seconds in ctx.online_charges:
@@ -505,14 +504,14 @@ class StreamingService:
                     if waiters > gil.max_convoy_waiters:
                         waiters = gil.max_convoy_waiters
                     per_unit = cpu_seconds + waiters * gil.convoy_overhead
-                    yield Timeout(sim, k * per_unit)
+                    yield k * per_unit
                 finally:
                     gil.release()
             else:
                 machine.cpu_busy_seconds += k * cpu_seconds
                 yield cores.acquire()
                 try:
-                    yield Timeout(sim, k * cpu_seconds)
+                    yield k * cpu_seconds
                 finally:
                     cores.release()
         yield dispatch.acquire()
@@ -522,7 +521,7 @@ class StreamingService:
                 waiters = dispatch.max_convoy_waiters
             per_unit = (machine.dispatch_cost
                         + waiters * dispatch.convoy_overhead)
-            yield Timeout(sim, k * per_unit)
+            yield k * per_unit
         finally:
             dispatch.release()
 
@@ -537,6 +536,7 @@ class StreamingService:
             tenants=tenants,
             makespan=max(completions) if completions else 0.0,
             events_processed=self._sim.events_processed,
+            events_inlined=self._sim.events_inlined,
             bytes_from_storage=sum(tenant.bytes_from_storage
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache

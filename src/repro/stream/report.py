@@ -189,6 +189,9 @@ class StreamReport:
     #: machine-independent deterministic cost metric the perf suite
     #: pins (never wall seconds).
     events_processed: int = 0
+    #: Kernel queue entries skipped by next-in-line resumption; left out
+    #: of the report's rendered and JSON forms.
+    events_inlined: int = 0
     bytes_from_storage: float = 0.0
     bytes_from_cache: float = 0.0
     metadata_peak_in_use: int = 0

@@ -99,13 +99,82 @@ def test_process_is_waitable_event():
 
 
 def test_yielding_non_event_raises():
+    """Only events and float delays are waitable; ints are not delays."""
+    for bad_value in (1, "x", None, True):
+        sim = Simulation()
+
+        def bad():
+            yield bad_value
+
+        with pytest.raises(SimulationError,
+                           match="expected an Event or a non-negative float"):
+            sim.run_process(bad())
+
+
+def test_float_delay_advances_clock_like_a_timeout():
     sim = Simulation()
 
-    def bad():
-        yield 1.0  # floats are not events
+    def proc():
+        value = yield 1.5
+        assert value is None
+        yield 0.0
+        yield sim.timeout(2.5)
+        yield 1.0
+        return sim.now
 
-    with pytest.raises(SimulationError, match="expected an Event"):
-        sim.run_process(bad())
+    assert sim.run_process(proc()) == 5.0
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_invalid_float_delay_is_thrown_into_the_process(delay):
+    sim = Simulation()
+
+    def proc():
+        with pytest.raises(SimulationError, match="non-negative"):
+            yield delay
+        yield 2.0
+        return sim.now
+
+    assert sim.run_process(proc()) == 2.0
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_invalid_delays_are_rejected(delay):
+    sim = Simulation()
+    with pytest.raises(SimulationError):
+        sim.timeout(delay)
+    with pytest.raises(SimulationError):
+        sim.event().succeed(delay=delay)
+    with pytest.raises(SimulationError):
+        sim.event().fail(ValueError("x"), delay=delay)
+
+
+@pytest.mark.parametrize("method", ["succeed", "fail"])
+def test_rejected_delay_leaves_the_event_pending(method):
+    """A trigger refused for its delay must not half-trigger the event:
+    a corrected retry works and the waiter resumes."""
+    sim = Simulation()
+    gate = sim.event()
+    log = []
+
+    def waiter():
+        try:
+            log.append((yield gate))
+        except ValueError as error:
+            log.append(str(error))
+        log.append(sim.now)
+
+    def trigger(*args):
+        return getattr(gate, method)(*args)
+
+    payload = "ok" if method == "succeed" else ValueError("boom")
+    sim.process(waiter())
+    with pytest.raises(SimulationError):
+        trigger(payload, -1.0)
+    assert not gate.triggered
+    trigger(payload, 3.0)
+    sim.run()
+    assert log == ["ok" if method == "succeed" else "boom", 3.0]
 
 
 def test_deadlock_detected():
