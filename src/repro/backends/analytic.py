@@ -89,9 +89,7 @@ class AnalyticModel:
         stored = plan.materialized
         codec = get_codec(config.compression)
         raw_bytes = stored.bytes_per_sample
-        disk_bytes = (raw_bytes if plan.is_unprocessed
-                      else stored.compressed_bytes_per_sample(
-                          config.compression))
+        disk_bytes = plan.stored_bytes_per_sample(config.compression)
         stream_bw = min(storage.stream_bw, storage.aggregate_bw / threads)
         opens_per_sample = ((stored.n_files / pipeline.sample_count)
                             if stored.n_files is not None else 0.0)
@@ -130,9 +128,7 @@ class AnalyticModel:
         threads = min(config.threads, pipeline.sample_count)
         stored = plan.materialized
         raw_bytes = stored.bytes_per_sample
-        disk_bytes = (raw_bytes if plan.is_unprocessed
-                      else stored.compressed_bytes_per_sample(
-                          config.compression))
+        disk_bytes = plan.stored_bytes_per_sample(config.compression)
 
         # -- per-thread sequential time per sample -------------------------
         components = self.sample_time_components(plan, config)

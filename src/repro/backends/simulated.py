@@ -28,6 +28,7 @@ from repro import calibration as cal
 from repro.backends.base import (CACHE_APPLICATION, CACHE_NONE, Environment,
                                  EpochResult, OfflineResult, RunConfig,
                                  StrategyRunResult)
+from repro.backends.host import SimHost
 from repro.errors import ProfilingError
 from repro.formats.compression import get_codec
 from repro.pipelines.base import Representation, SplitPlan
@@ -122,35 +123,11 @@ class SimulatedBackend:
             raise ProfilingError(
                 "compression on the unprocessed strategy is not meaningful: "
                 "random file access dominates (paper Sec. 4.3)")
-        sim = Simulation()
-        machine = Machine(
-            sim, cores=self.environment.cores,
-            ram_bytes=self.environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * self.environment.ram_bytes),
-            memory_bw=self.environment.memory_bw,
-            memory_stream_bw=self.environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        cluster = StorageCluster(sim, self.environment.storage,
-                                 memory_link=machine.memory_link)
-        # Ceph serves a fixed striping share per client stream once many
-        # readers are configured; pin the per-stream rate to the fair share
-        # so partially-idle readers do not transiently exceed it (matches
-        # the paper's measured per-strategy network read speeds).
-        storage = self.environment.storage
-        cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / config.threads)
-
+        host = SimHost(self.environment, config.threads)
+        sim, machine, cluster = host.sim, host.machine, host.cluster
         pipeline = plan.pipeline
         count = pipeline.sample_count
-        stored = plan.materialized
-        if plan.is_unprocessed:
-            stored_bytes_ps = stored.bytes_per_sample
-        else:
-            stored_bytes_ps = stored.compressed_bytes_per_sample(
-                config.compression)
+        stored_bytes_ps = plan.stored_bytes_per_sample(config.compression)
 
         offline = None
         if not plan.is_unprocessed:

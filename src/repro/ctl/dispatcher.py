@@ -37,7 +37,7 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import time
+import math
 from typing import Callable, Generator, Optional, Sequence
 
 from dataclasses import dataclass
@@ -86,9 +86,9 @@ class AutoscaleConfig:
             raise ControlError(
                 f"autoscale.max_slots ({self.max_slots!r}) must be >= "
                 f"min_slots ({self.min_slots!r})")
-        if self.interval <= 0:
+        if not (math.isfinite(self.interval) and self.interval > 0):
             raise ControlError(
-                f"autoscale.interval must be positive, "
+                f"autoscale.interval must be a finite positive number, "
                 f"got {self.interval!r}")
 
     def describe(self) -> str:
@@ -100,7 +100,7 @@ class Dispatcher(PreprocessingService):
     """Submit/cancel/retry control plane over the preprocessing service."""
 
     def __init__(self, policy="fifo", slots: int = 2,
-                 environment=None, backend=None,
+                 environment=None,
                  materialize_offline: bool = True,
                  tie_break: Optional[str] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -112,7 +112,7 @@ class Dispatcher(PreprocessingService):
                  checkpoint_epochs: int = 0,
                  shed_slo: bool = False):
         super().__init__(policy=policy, slots=slots,
-                         environment=environment, backend=backend,
+                         environment=environment,
                          materialize_offline=materialize_offline,
                          tie_break=tie_break, metrics=metrics,
                          metrics_interval=metrics_interval, tracer=tracer,
@@ -233,7 +233,8 @@ class Dispatcher(PreprocessingService):
                              parent=self._pending_parents.pop(job_id, None))
                    for job_id, spec in submissions]
         initial_slots = self.slots
-        self._reset()
+        tenant_jobs = [record.job for record in records]
+        self._reset(tenant_jobs)
         self.ledger = ExecutionLedger()
         for callback in self._subscribers:
             self.ledger.subscribe(callback)
@@ -248,8 +249,6 @@ class Dispatcher(PreprocessingService):
         self._autoscale_log = []
         self._active = len(records)
         sim = self._sim
-        tenant_jobs = [record.job for record in records]
-        self._configure_link(tenant_jobs)
         self._set_baselines(tenant_jobs)
         self._tenants = sorted({job.spec.tenant for job in tenant_jobs})
         processes = [sim.process(self._control_process(record),
@@ -266,19 +265,9 @@ class Dispatcher(PreprocessingService):
                         name=f"cancel-{job_id}")
         if self.autoscale is not None:
             sim.process(self._autoscale_process(), name="autoscaler")
-        self._start_faults()
-        self._start_sampler()
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        unfinished = [record.job_id for record, process
-                      in zip(records, processes) if not process.triggered]
-        if unfinished:
-            raise SimulationError(
-                f"control plane drained with unfinished jobs: {unfinished}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
+        self._host.start(self._telemetry_live, self._sample_metrics)
+        self._host.drain(processes, [record.job_id for record in records],
+                         "control plane drained with unfinished jobs")
         stuck = [record.job_id for record in records
                  if self.ledger.state(record.job_id)
                  not in TERMINAL_STATES]
@@ -286,7 +275,6 @@ class Dispatcher(PreprocessingService):
             raise SimulationError(
                 f"jobs finished outside a terminal state: {stuck}")
         service = self._report(tenant_jobs)
-        service.wall_seconds = wall_seconds
         final_slots, self.slots = self.slots, initial_slots
         return ControlReport(
             service=service, ledger=self.ledger, retry=self.retry_policy,
@@ -380,10 +368,11 @@ class Dispatcher(PreprocessingService):
                 return
             delay = self.retry_policy.backoff(record.failures)
             detail = f"backoff {delay:g}s"
-            if self._fault_engine is not None:
+            engine = self._host.fault_engine
+            if engine is not None:
                 # Retrying into an active brownout burns attempts;
                 # stretch the wait past the window's end instead.
-                stretched = self._fault_engine.stretch_backoff(
+                stretched = engine.stretch_backoff(
                     sim.now, delay)
                 if stretched != delay:
                     detail = (f"backoff {delay:g}s stretched to "
@@ -423,14 +412,15 @@ class Dispatcher(PreprocessingService):
         stretch -- never yields, so with shedding off (or no faults) the
         admission path is byte-identical to the historical one.
         """
-        if not self.shed_slo or self._fault_engine is None:
+        engine = self._host.fault_engine
+        if not self.shed_slo or engine is None:
             return None
         job = record.job
         slo = job.slo_seconds
         if slo is None or job.baseline_epoch_seconds is None:
             return None
         return slo_shed_decision(job.baseline_epoch_seconds, slo,
-                                 self._fault_engine.capacity_stretch())
+                                 engine.capacity_stretch())
 
     def _resume_epoch(self, record: JobRecord, epoch: int,
                       crashed: bool) -> int:

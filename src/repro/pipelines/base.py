@@ -133,6 +133,15 @@ class SplitPlan:
         """True when nothing is preprocessed offline (split at source)."""
         return self.split_index == 0
 
+    def stored_bytes_per_sample(self, compression: Optional[str]) -> float:
+        """Bytes per sample the strategy keeps on storage: the raw source
+        when unprocessed, else the materialised records after
+        ``compression``."""
+        stored = self.materialized
+        if self.is_unprocessed:
+            return stored.bytes_per_sample
+        return stored.compressed_bytes_per_sample(compression)
+
 
 class PipelineSpec:
     """An ordered preprocessing pipeline with calibrated models."""

@@ -30,15 +30,14 @@ SLO violations) aggregate into a :class:`ServiceReport`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
-from repro import calibration as cal
 from repro.backends.base import Environment, EpochResult, OfflineResult, \
     RunConfig
+from repro.backends.host import SimHost, check_metrics_interval
 from repro.backends.simulated import SimulatedBackend
-from repro.errors import ProfilingError, SimulationError
+from repro.errors import ProfilingError
 from repro.pipelines.base import SplitPlan
 from repro.serve.jobs import JobSpec
 from repro.serve.policies import SchedulerPolicy, get_policy
@@ -282,16 +281,13 @@ class PreprocessingService:
 
     def __init__(self, policy="fifo", slots: int = 2,
                  environment: Optional[Environment] = None,
-                 backend: Optional[SimulatedBackend] = None,
                  materialize_offline: bool = True,
                  tie_break: Optional[str] = None,
                  metrics=None, metrics_interval: float = 60.0,
                  tracer=None, faults=None):
         if slots < 1:
             raise ProfilingError("need at least one execution slot")
-        if metrics is not None and metrics_interval <= 0:
-            raise ProfilingError(
-                f"metrics_interval must be positive, got {metrics_interval}")
+        check_metrics_interval(metrics, metrics_interval)
         if tie_break == "arrival":
             tie_break = None  # the CLI/spec spelling of the default
         if tie_break not in (None, "tenant"):
@@ -301,7 +297,7 @@ class PreprocessingService:
         self.policy: SchedulerPolicy = get_policy(policy)
         self.slots = slots
         self.environment = environment or Environment()
-        self.backend = backend or SimulatedBackend(self.environment)
+        self.backend = SimulatedBackend(self.environment, tracer=tracer)
         #: ``"tenant"`` orders mathematically simultaneous storage-link
         #: completions by (timestamp, tenant id) instead of admission
         #: order, pinning knife-edge thrash scenarios (serve64_hot_raw)
@@ -318,14 +314,13 @@ class PreprocessingService:
         self.metrics = metrics
         self.metrics_interval = metrics_interval
         self.tracer = tracer
-        if tracer is not None:
-            self.backend.tracer = tracer
         #: Seeded chaos timeline (:class:`repro.faults.FaultPlan`) or
         #: ``None``.  With no plan the engine is never constructed and
         #: the run schedules zero extra events -- the faults-off
         #: differential wall (tests/faults/test_differential.py).
         self.fault_plan = faults
         # Per-run state, initialised in run().
+        self._host: SimHost = None  # type: ignore[assignment]
         self._sim: Simulation = None  # type: ignore[assignment]
         self._machine: Machine = None  # type: ignore[assignment]
         self._cluster: StorageCluster = None  # type: ignore[assignment]
@@ -348,53 +343,33 @@ class PreprocessingService:
                       config=spec.run_config())
             for spec in jobs
         ]
-        self._reset()
-        sim = self._sim
-        self._configure_link(tenant_jobs)
+        self._reset(tenant_jobs)
         self._set_baselines(tenant_jobs)
         self._live = len(tenant_jobs)
         self._tenants = sorted({job.spec.tenant for job in tenant_jobs})
-        processes = [sim.process(self._job_process(job),
-                                 name=f"job-{job.spec.tenant}")
+        processes = [self._sim.process(self._job_process(job),
+                                       name=f"job-{job.spec.tenant}")
                      for job in tenant_jobs]
-        self._start_faults()
-        self._start_sampler()
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        unfinished = [job.spec.tenant for job, process
-                      in zip(tenant_jobs, processes)
-                      if not process.triggered]
-        if unfinished:
-            raise SimulationError(
-                f"service drained with unfinished jobs: {unfinished}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
-        report = self._report(tenant_jobs)
-        report.wall_seconds = wall_seconds
-        return report
+        self._host.start(self._telemetry_live, self._sample_metrics)
+        self._host.drain(processes, [job.spec.tenant for job in tenant_jobs],
+                         "service drained with unfinished jobs")
+        return self._report(tenant_jobs)
 
     # -- simulation setup ----------------------------------------------------
 
-    def _reset(self) -> None:
-        environment = self.environment
-        sim = Simulation()
-        self._sim = sim
-        self._machine = Machine(
-            sim, cores=environment.cores,
-            ram_bytes=environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * environment.ram_bytes),
-            memory_bw=environment.memory_bw,
-            memory_stream_bw=environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        self._cluster = StorageCluster(
-            sim, environment.storage,
-            memory_link=self._machine.memory_link,
-            tie_break="tag" if self.tie_break == "tenant" else "admission")
+    def _reset(self, jobs: Sequence[TenantJob]) -> None:
+        """A fresh host for one run.  The read link's fair share uses the
+        widest job's thread count, so a lone tenant sees exactly the
+        single-job backend's rates; under co-tenancy the max-min
+        allocation divides the aggregate further anyway."""
+        host = SimHost(
+            self.environment, max(job.config.threads for job in jobs),
+            tie_break="tag" if self.tie_break == "tenant" else "admission",
+            faults=self.fault_plan, metrics=self.metrics,
+            metrics_interval=self.metrics_interval, tracer=self.tracer)
+        self._host = host
+        self._sim, self._machine, self._cluster = \
+            host.sim, host.machine, host.cluster
         self._queue = []
         self._running = []
         self._free_slots = self.slots
@@ -404,22 +379,6 @@ class PreprocessingService:
         self._enqueued = 0
         self._live = 0
         self._tenants: list[str] = []
-        self._fault_engine = None
-
-    # -- chaos engine (null-by-default; see repro.faults) --------------------
-
-    def _start_faults(self) -> None:
-        """Spawn the chaos engine's window processes -- only when a
-        fault plan is attached.  Must run after ``_configure_link`` (the
-        engine snapshots nominal link capacity) and before the kernel
-        starts draining events."""
-        if not self.fault_plan:
-            return
-        from repro.faults.engine import FaultEngine
-        self._fault_engine = FaultEngine(
-            self.fault_plan, self._sim, self._machine, self._cluster,
-            metrics=self.metrics, tracer=self.tracer)
-        self._fault_engine.start()
 
     # -- telemetry (null-by-default; see repro.obs) --------------------------
 
@@ -428,66 +387,19 @@ class PreprocessingService:
         plane overrides this with its own active-job counter."""
         return self._live > 0
 
-    def _start_sampler(self) -> None:
-        """Spawn the periodic metrics sampler -- only when a registry is
-        attached, so telemetry off costs zero extra kernel events."""
-        if self.metrics is not None:
-            self._sim.process(self._metrics_process(),
-                              name="metrics-sampler")
-
-    def _metrics_process(self) -> Generator[Event, None, None]:
-        sim = self._sim
-        registry = self.metrics
-        interval = self.metrics_interval
-        while self._telemetry_live():
-            yield sim.timeout(interval)
-            self._sample_metrics(registry)
-            registry.snapshot(sim.now)
-
     def _sample_metrics(self, registry) -> None:
         """Read one sample of every cluster-level gauge.  Pure reads of
         existing state -- never schedules events or mutates the model."""
-        sim = self._sim
         registry.gauge("queue.depth").set(len(self._queue))
         registry.gauge("slots.running").set(len(self._running))
         registry.gauge("slots.free").set(self._free_slots)
-        link = self._cluster.read_link
-        registry.gauge("link.active_streams").set(link.active_streams)
-        aggregate = self.environment.storage.aggregate_bw
-        registry.gauge("link.utilization").set(
-            link.current_throughput() / aggregate if aggregate else 0.0)
-        cache = self._machine.page_cache
-        registry.gauge("cache.hit_rate").set(cache.hit_rate)
-        registry.gauge("cache.used_bytes").set(cache.used_bytes)
-        registry.gauge("cache.evictions").set(cache.evictions)
-        metadata = self._cluster.metadata
-        registry.gauge("metadata.in_use").set(metadata.in_use)
-        registry.gauge("metadata.queued").set(metadata.queued)
-        registry.gauge("kernel.events_processed").set(sim.events_processed)
-        engine = self._fault_engine
-        if engine is not None:
-            registry.gauge("faults.active").set(engine.active_count)
-            # Blackouts make the bound unreachable; clamp for exporters.
-            registry.gauge("faults.capacity_stretch").set(
-                min(engine.capacity_stretch(), 1e6))
+        self._host.sample_cluster(registry)
         inflight: dict[str, int] = {}
         for job in self._running:
             inflight[job.spec.tenant] = inflight.get(job.spec.tenant, 0) + 1
         for tenant in self._tenants:
             registry.gauge(f"tenant.{tenant}.inflight").set(
                 inflight.get(tenant, 0))
-
-    def _configure_link(self, jobs: Sequence[TenantJob]) -> None:
-        """Pin the fair per-stream read share, as the backend does.
-
-        Uses the widest single job's thread count so a lone tenant sees
-        exactly the single-job backend's rates; under co-tenancy the
-        max-min allocation divides the aggregate further anyway.
-        """
-        storage = self.environment.storage
-        widest = max(job.config.threads for job in jobs)
-        self._cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / widest)
 
     def _set_baselines(self, jobs: Sequence[TenantJob]) -> None:
         """Uncontended analytic epoch time per job (the SLO anchor)."""
@@ -556,12 +468,8 @@ class PreprocessingService:
             if (start_epoch == 0 and self.materialize_offline
                     and not job.plan.is_unprocessed):
                 yield from self._offline_phase(job, trace_parent=parent)
-            stored = job.plan.materialized
-            if job.plan.is_unprocessed:
-                stored_bytes_ps = stored.bytes_per_sample
-            else:
-                stored_bytes_ps = stored.compressed_bytes_per_sample(
-                    job.config.compression)
+            stored_bytes_ps = job.plan.stored_bytes_per_sample(
+                job.config.compression)
             namespace = self._namespace(job)
             for epoch in range(start_epoch, job.config.epochs):
                 self._before_epoch(job, epoch)
@@ -674,12 +582,6 @@ class PreprocessingService:
                 for job in jobs for epoch in job.epochs),
             bytes_written=self._cluster.bytes_written,
             files_opened=self._cluster.files_opened,
-            metadata_peak_in_use=self._cluster.metadata.peak_in_use,
-            page_cache_evictions=self._machine.page_cache.evictions,
-            events_processed=self._sim.events_processed,
-            events_inlined=self._sim.events_inlined,
         )
-        if self._fault_engine is not None:
-            report.fault_events = list(self._fault_engine.events)
-            report.transfers_aborted = self._fault_engine.transfers_aborted
+        self._host.stamp(report)
         return report

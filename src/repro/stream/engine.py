@@ -20,15 +20,15 @@ through this engine and requires the epoch timings back to ~1e-12.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
 from repro import calibration as cal
 from repro.backends.base import CACHE_SYSTEM, Environment, RunConfig
+from repro.backends.host import SimHost, check_metrics_interval
 from repro.backends.simulated import SimulatedBackend
-from repro.errors import ProfilingError, SimulationError
+from repro.errors import ProfilingError
 from repro.faults.gate import slo_shed_decision
 from repro.pipelines.base import SplitPlan
 from repro.sim.cluster import StorageCluster
@@ -90,14 +90,10 @@ class StreamingService:
     """Run tenant request streams on one shared simulated cluster."""
 
     def __init__(self, environment: Optional[Environment] = None,
-                 backend: Optional[SimulatedBackend] = None,
                  metrics=None, metrics_interval: float = 60.0,
                  tracer=None, faults=None):
-        if metrics is not None and metrics_interval <= 0:
-            raise ProfilingError(
-                f"metrics_interval must be positive, got {metrics_interval}")
+        check_metrics_interval(metrics, metrics_interval)
         self.environment = environment or Environment()
-        self.backend = backend or SimulatedBackend(self.environment)
         #: Telemetry hooks (:mod:`repro.obs`); null by default, and with
         #: them off the stream schedules zero extra kernel events.
         self.metrics = metrics
@@ -107,12 +103,12 @@ class StreamingService:
         #: ``None``; with no plan the run schedules zero extra events.
         self.fault_plan = faults
         # Per-run state, initialised in run().
+        self._host: SimHost = None  # type: ignore[assignment]
         self._sim: Simulation = None  # type: ignore[assignment]
         self._machine: Machine = None  # type: ignore[assignment]
         self._cluster: StorageCluster = None  # type: ignore[assignment]
         self._contexts: list = []
         self._live_workers = 0
-        self._fault_engine = None
 
     # -- public entry point --------------------------------------------------
 
@@ -133,9 +129,8 @@ class StreamingService:
         if len(set(names)) != len(names):
             raise ProfilingError(f"duplicate tenant streams in {names}")
         contexts = [self._context(spec, seed, plans) for spec in streams]
-        self._reset()
+        self._reset(streams)
         sim = self._sim
-        self._configure_link(streams)
         self._set_baselines(contexts)
         self._contexts = contexts
         self._live_workers = sum(spec.workers for spec in streams)
@@ -152,70 +147,17 @@ class StreamingService:
                 processes.append(sim.process(
                     self._worker_process(ctx, wid),
                     name=f"stream-{ctx.spec.tenant}-{wid}"))
-        self._start_faults()
-        if self.metrics is not None:
-            sim.process(self._metrics_process(), name="metrics-sampler")
-        started = time.perf_counter()
-        sim.run()
-        wall_seconds = time.perf_counter() - started
-        stuck = [process.name for process in processes
-                 if not process.triggered]
-        if stuck:
-            raise SimulationError(
-                f"stream drained with live processes: {stuck}")
-        for process in processes:
-            if process._exception is not None:
-                raise process._exception
-        report = self._report(contexts)
-        report.wall_seconds = wall_seconds
-        return report
-
-    # -- chaos engine (null-by-default; see repro.faults) --------------------
-
-    def _start_faults(self) -> None:
-        """Spawn the chaos engine's window processes -- only when a
-        fault plan is attached (mirrors the serve layer)."""
-        self._fault_engine = None
-        if not self.fault_plan:
-            return
-        from repro.faults.engine import FaultEngine
-        self._fault_engine = FaultEngine(
-            self.fault_plan, self._sim, self._machine, self._cluster,
-            metrics=self.metrics, tracer=self.tracer)
-        self._fault_engine.start()
+        self._host.start(lambda: self._live_workers > 0,
+                         self._sample_metrics)
+        self._host.drain(processes, [process.name for process in processes],
+                         "stream drained with live processes")
+        return self._report(contexts)
 
     # -- telemetry (null-by-default; see repro.obs) --------------------------
 
-    def _metrics_process(self) -> Generator[Event, None, None]:
-        sim = self._sim
-        registry = self.metrics
-        interval = self.metrics_interval
-        while self._live_workers > 0:
-            yield sim.timeout(interval)
-            self._sample_metrics(registry)
-            registry.snapshot(sim.now)
-
     def _sample_metrics(self, registry) -> None:
         """One sample of the stream-level gauges; pure reads only."""
-        sim = self._sim
-        link = self._cluster.read_link
-        registry.gauge("link.active_streams").set(link.active_streams)
-        aggregate = self.environment.storage.aggregate_bw
-        registry.gauge("link.utilization").set(
-            link.current_throughput() / aggregate if aggregate else 0.0)
-        cache = self._machine.page_cache
-        registry.gauge("cache.hit_rate").set(cache.hit_rate)
-        registry.gauge("cache.used_bytes").set(cache.used_bytes)
-        registry.gauge("cache.evictions").set(cache.evictions)
-        metadata = self._cluster.metadata
-        registry.gauge("metadata.in_use").set(metadata.in_use)
-        registry.gauge("metadata.queued").set(metadata.queued)
-        registry.gauge("kernel.events_processed").set(sim.events_processed)
-        engine = self._fault_engine
-        if engine is not None:
-            registry.gauge("faults.active").set(engine.active_count)
-            registry.gauge("faults.capacity_stretch").set(
-                min(engine.capacity_stretch(), 1e6))
+        self._host.sample_cluster(registry)
         for ctx in self._contexts:
             tenant = ctx.spec.tenant
             registry.gauge(f"tenant.{tenant}.queue_depth").set(ctx.depth)
@@ -282,14 +224,11 @@ class StreamingService:
         """
         plan = ctx.plan
         stored = plan.materialized
-        if plan.is_unprocessed:
-            ctx.stored_bytes_ps = stored.bytes_per_sample
-        else:
-            ctx.stored_bytes_ps = stored.compressed_bytes_per_sample(None)
+        ctx.stored_bytes_ps = plan.stored_bytes_per_sample(None)
         ctx.stored_bytes_ps_raw = stored.bytes_per_sample
         ctx.namespace = ("stream", ctx.spec.tenant)
         ctx.stored_name = stored.name
-        ctx.opens_per_sample = self.backend._opens_per_sample(
+        ctx.opens_per_sample = SimulatedBackend._opens_per_sample(
             stored, plan.pipeline.sample_count)
         ctx.open_latency = self.environment.storage.pipeline_open_latency
         ctx.open_factor = stored.open_latency_factor
@@ -301,33 +240,16 @@ class StreamingService:
             (step.holds_gil, step.cpu_seconds)
             for step in plan.online_steps if step.cpu_seconds > 0)
 
-    def _reset(self) -> None:
-        environment = self.environment
-        sim = Simulation()
-        self._sim = sim
-        self._machine = Machine(
-            sim, cores=environment.cores,
-            ram_bytes=environment.ram_bytes,
-            page_cache_bytes=(cal.PAGE_CACHE_FRACTION
-                              * environment.ram_bytes),
-            memory_bw=environment.memory_bw,
-            memory_stream_bw=environment.memory_stream_bw,
-            dispatch_cost=cal.DISPATCH_COST,
-            dispatch_convoy=cal.DISPATCH_CONVOY,
-            gil_convoy=cal.GIL_CONVOY)
-        self._cluster = StorageCluster(
-            sim, environment.storage,
-            memory_link=self._machine.memory_link,
-            tie_break="admission")
-
-    def _configure_link(self, streams: Sequence[StreamTenantSpec]) -> None:
-        """Pin the fair per-stream read share, as the serve layer does,
-        using the widest tenant's worker count (the reader analogue of
-        the widest job's thread count)."""
-        storage = self.environment.storage
-        widest = max(spec.workers for spec in streams)
-        self._cluster.read_link.per_stream_bw = min(
-            storage.stream_bw, storage.aggregate_bw / widest)
+    def _reset(self, streams: Sequence[StreamTenantSpec]) -> None:
+        """A fresh host for one run; the widest tenant's worker count
+        (the reader analogue of a job's threads) sets the link share."""
+        host = SimHost(
+            self.environment, max(spec.workers for spec in streams),
+            faults=self.fault_plan, metrics=self.metrics,
+            metrics_interval=self.metrics_interval, tracer=self.tracer)
+        self._host = host
+        self._sim, self._machine, self._cluster = \
+            host.sim, host.machine, host.cluster
 
     def _set_baselines(self, contexts: Sequence[_TenantStream]) -> None:
         """Uncontended analytic service time per batch (the SLO anchor),
@@ -356,7 +278,7 @@ class StreamingService:
         """Replay the arrival schedule: admit, hand off, block or shed."""
         sim = self._sim
         bound = ctx.spec.queue_bound
-        engine = self._fault_engine
+        engine = self._host.fault_engine
         for record in ctx.records:
             delay = record.arrival - sim.now
             if delay > 0:
@@ -535,16 +457,10 @@ class StreamingService:
             environment=self.environment,
             tenants=tenants,
             makespan=max(completions) if completions else 0.0,
-            events_processed=self._sim.events_processed,
-            events_inlined=self._sim.events_inlined,
             bytes_from_storage=sum(tenant.bytes_from_storage
                                    for tenant in tenants),
             bytes_from_cache=sum(tenant.bytes_from_cache
                                  for tenant in tenants),
-            metadata_peak_in_use=self._cluster.metadata.peak_in_use,
-            page_cache_evictions=self._machine.page_cache.evictions,
         )
-        if self._fault_engine is not None:
-            report.fault_events = list(self._fault_engine.events)
-            report.transfers_aborted = self._fault_engine.transfers_aborted
+        self._host.stamp(report)
         return report

@@ -108,9 +108,28 @@ class TestSamplerIntegration:
                      "tenant.tenant-0.inflight"):
             assert name in values
 
-    def test_serve_rejects_bad_interval(self):
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_serve_rejects_bad_interval(self, interval):
         from repro.errors import ProfilingError
         from repro.serve.service import PreprocessingService
         with pytest.raises(ProfilingError):
             PreprocessingService(metrics=MetricsRegistry(),
-                                 metrics_interval=0.0)
+                                 metrics_interval=interval)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_stream_rejects_bad_interval(self, interval):
+        from repro.errors import ProfilingError
+        from repro.stream import StreamingService
+        with pytest.raises(ProfilingError):
+            StreamingService(metrics=MetricsRegistry(),
+                             metrics_interval=interval)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_autoscale_rejects_bad_interval(self, interval):
+        from repro.ctl import AutoscaleConfig
+        from repro.errors import ControlError
+        with pytest.raises(ControlError):
+            AutoscaleConfig(interval=interval)
