@@ -5,7 +5,7 @@
 #   make sweep         full-catalog profile of the seven paper pipelines
 #   make golden        regenerate the golden CLI outputs (eyeball the diff!)
 #   make coverage      line-coverage floors (diagnosis + serve + api +
-#                      ctl + stream + obs + faults)
+#                      ctl + stream + obs + faults + lint + sim)
 #   make lint          simlint static analysis over src/ tools/
 #                      benchmarks/ (DES discipline; docs/lint.md)
 #   make typecheck     pinned mypy pass over the starter subset
@@ -28,8 +28,8 @@ COVERAGE_FLOOR ?= 80
 
 .PHONY: test smoke sweep golden coverage coverage-diagnosis coverage-serve \
 	coverage-api coverage-ctl coverage-stream coverage-obs \
-	coverage-faults coverage-lint lint typecheck trace-smoke bench \
-	bench-check hostbench-smoke plan-examples
+	coverage-faults coverage-lint coverage-sim lint typecheck trace-smoke \
+	bench bench-check hostbench-smoke plan-examples
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -44,7 +44,7 @@ golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/golden --update-golden -q
 
 coverage: coverage-diagnosis coverage-serve coverage-api coverage-ctl \
-	coverage-stream coverage-obs coverage-faults coverage-lint
+	coverage-stream coverage-obs coverage-faults coverage-lint coverage-sim
 
 lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/simlint.py
@@ -75,6 +75,9 @@ coverage-faults:
 
 coverage-lint:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.lint --floor $(COVERAGE_FLOOR)
+
+coverage-sim:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/diagnosis_coverage.py --package repro.sim --floor $(COVERAGE_FLOOR)
 
 trace-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/trace_smoke.py

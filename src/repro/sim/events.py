@@ -26,16 +26,17 @@ per-event method-call chain.  :attr:`Simulation.events_processed` counts
 resolved events; because the kernel is deterministic, that counter is a
 machine-independent proxy for simulation cost (``make bench-check``).
 
-A resource grant or link completion that would be the very next event
-popped resumes its waiter in-line instead of taking a queue round trip
-(:meth:`Simulation.next_in_line`); :attr:`Simulation.events_inlined`
-counts the skipped queue entries.
+A resource grant, link completion or timed wait that would be the very
+next event popped resumes its waiter in-line instead of taking a queue
+round trip (:meth:`Simulation.next_in_line`);
+:attr:`Simulation.events_inlined` counts the skipped queue entries.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -191,6 +192,13 @@ class Process(Event):
     two spellings give identical schedules; a negative or NaN delay is
     thrown into the generator as a :class:`SimulationError`, as the
     :class:`Timeout` constructor would have raised it there.
+
+    A positive wait whose timer would be the very next event popped --
+    the :meth:`Simulation.next_in_line` conditions, with the heap head
+    strictly after the wait's end instead of after ``now`` -- ends
+    in-line: the clock jumps to the end and the generator resumes
+    without the queue round trip.  A wait ending past the ``until`` of
+    the running :meth:`Simulation.run` is always queued.
     """
 
     __slots__ = ("_generator", "name", "_resume_cb", "_timer")
@@ -264,13 +272,25 @@ class Process(Event):
                 continue
             sim = self.sim
             timer = self._timer
-            timer.callbacks = self._resume_cb
             sim._sequence += 1
-            if delay:
-                heappush(sim._queue, (sim._now + delay, sim._sequence, timer))
-            else:
+            if not delay:
+                timer.callbacks = self._resume_cb
                 sim._fifo.append((sim._sequence, timer))
-            return
+                return
+            when = sim._now + delay
+            queue = sim._queue
+            # Queue the timer unless it would be the next event popped
+            # with nothing running before it (Simulation.next_in_line,
+            # tested at ``when``).  The heap head is tested first: it
+            # is what keeps most timed waits queued.
+            if ((queue and queue[0][0] <= when) or sim._fifo
+                    or not sim._may_inline or when > sim._until):
+                timer.callbacks = self._resume_cb
+                heappush(queue, (when, sim._sequence, timer))
+                return
+            sim._now = when
+            sim._events_inlined += 1
+            event = timer
 
 
 class _AllOfState:
@@ -339,6 +359,9 @@ class Simulation:
         #: with a single callback: then nothing else runs between the
         #: current callback's return and the next pop (see next_in_line).
         self._may_inline = False
+        #: The ``until`` of the running ``run()`` call: a timed wait
+        #: ending later is never resumed in-line (see Process).
+        self._until = inf
 
     @property
     def now(self) -> float:
@@ -361,7 +384,7 @@ class Simulation:
 
         Deterministic like :attr:`events_processed`;
         ``events_processed + events_inlined`` is the count of a kernel
-        that queues every grant and link completion.
+        that queues every grant, link completion and timed wait.
         """
         return self._events_inlined
 
@@ -376,6 +399,8 @@ class Simulation:
         it pops the moment the current callback returns.  Resuming its
         waiter in-line instead gives the identical schedule without the
         queue round trip; the caller counts it in ``_events_inlined``.
+        A timed wait applies the same test to its end time instead of
+        ``now``, within the running ``run(until)`` (see :class:`Process`).
         """
         if not self._may_inline or self._fifo:
             return False
@@ -441,12 +466,21 @@ class Simulation:
 
         Events stamped past ``until`` stay queued; the clock is left at
         ``until`` so a later ``run()`` call continues where this one
-        stopped.  Returns the final simulated time.
+        stopped.  Returns the final simulated time.  An ``until`` that
+        is NaN or before :attr:`now` raises :class:`SimulationError`
+        and changes nothing: the clock never moves backwards.
         """
+        if until is None:
+            until = inf
+        if not until >= self._now:   # also rejects NaN
+            raise SimulationError(
+                f"run(until={until!r}) must not be NaN or before "
+                f"now={self._now!r}")
         queue = self._queue
         fifo = self._fifo
         events_processed = self._events_processed
         self._may_inline = True
+        self._until = until
         try:
             while True:
                 # Merge the same-instant FIFO with the heap in exact
@@ -463,7 +497,7 @@ class Simulation:
                         event = fifo.popleft()[1]
                 elif queue:
                     timestamp = queue[0][0]
-                    if until is not None and timestamp > until:
+                    if timestamp > until:
                         self._now = until
                         break
                     event = heappop(queue)[2]
@@ -490,6 +524,7 @@ class Simulation:
         finally:
             self._events_processed = events_processed
             self._may_inline = False
+            self._until = inf
         return self._now
 
     def run_process(self, generator: ProcessGenerator,

@@ -8,9 +8,9 @@ scaled-down (8-tenant) replica of the same trace shape, which any
 kernel or model drift moves long before the 64-tenant run does.
 
 Each event-count pin sits beside its conservation check: the kernel
-resumes next-in-line grants and link completions in-line, and
-``events_processed + events_inlined`` must still equal the count of a
-kernel that queues every event (the pin before in-lining).
+resumes next-in-line grants, link completions and timed waits in-line,
+and ``events_processed + events_inlined`` must still equal the count of
+a kernel that queues every event (the pin before in-lining).
 """
 
 import importlib.util
@@ -53,7 +53,7 @@ class TestHotRawScenarioDefinition:
         baseline = json.loads(
             (REPO / "benchmarks" / "perf" / "baseline.json").read_text())
         pinned = baseline["serve"]["serve64_hot_raw"]["cache-aware"]
-        assert pinned["events"] == 3426768
+        assert pinned["events"] == 2930877
         recorded = _snapshot_metrics("serve", "serve64_hot_raw",
                                      "cache-aware")
         assert recorded["events"] == pinned["events"]
@@ -73,7 +73,7 @@ class TestStreamScenarioDefinition:
         baseline = json.loads(
             (REPO / "benchmarks" / "perf" / "baseline.json").read_text())
         pinned = baseline["stream"]["stream64"]
-        assert pinned["events"] == 31401
+        assert pinned["events"] == 25897
         recorded = _snapshot_metrics("stream", "stream64")
         assert recorded["events"] == pinned["events"]
         assert pinned["events"] + recorded["events_inlined"] == 34970
@@ -91,7 +91,7 @@ class TestScaledStream:
                                   requests=48, batch=32, workers=4,
                                   queue_bound=8)
         report = StreamingService().run(streams, seed=0)
-        assert report.events_processed == 3785
+        assert report.events_processed == 3022
         assert report.events_processed + report.events_inlined == 4231
         assert report.makespan == pytest.approx(121.515326, abs=1e-3)
         assert report.total_requests == 8 * 48
@@ -109,7 +109,7 @@ class TestScaledHotRaw:
 
     def test_event_count_is_pinned(self):
         report = self._run("tenant")
-        assert report.events_processed == 431533
+        assert report.events_processed == 394364
         assert report.events_processed + report.events_inlined == 524250
         assert report.makespan == pytest.approx(2963.639, abs=1e-3)
 

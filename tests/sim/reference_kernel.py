@@ -110,8 +110,13 @@ class ReferenceSimulation:
     def process(self, generator, name="process"):
         return ReferenceProcess(self, generator, name)
 
-    def run(self):
+    def run(self, until=None):
+        """Resolve events in order; with ``until``, stop before the first
+        event stamped later and leave the clock at ``until``."""
         while self._queue:
+            if until is not None and self._queue[0][0] > until:
+                self._now = until
+                break
             timestamp, _, event = heappop(self._queue)
             if timestamp < self._now:
                 raise SimulationError("time went backwards")

@@ -7,6 +7,7 @@ and hosts for the same workload (``make bench-check`` relies on this).
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.events import Event, Simulation, all_of
 
 
@@ -87,6 +88,41 @@ def test_run_until_is_resumable_in_slices():
     assert process.triggered
     assert sliced.now == whole.now
     assert sliced.events_processed == whole.events_processed
+
+
+def test_run_until_in_the_past_is_rejected_without_moving_the_clock():
+    sim = Simulation()
+    fired = []
+
+    def proc():
+        yield sim.timeout(10.0)
+        fired.append(sim.now)
+        yield sim.timeout(10.0)
+        fired.append(sim.now)
+
+    sim.process(proc())
+    assert sim.run(until=11.0) == 11.0
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=5.0)
+    assert sim.now == 11.0
+    assert sim.run(until=11.0) == 11.0   # ``until == now`` is allowed
+    assert sim.run() == 20.0
+    assert fired == [10.0, 20.0]
+
+
+@pytest.mark.parametrize("until", [-1.0, float("nan")])
+def test_run_until_negative_or_nan_is_rejected(until):
+    sim = Simulation()
+
+    def sleeper():
+        yield sim.timeout(1.0)
+
+    sim.process(sleeper())
+    with pytest.raises(SimulationError):
+        sim.run(until=until)
+    assert sim.now == 0.0
+    assert sim.events_processed == 0
+    assert sim.run() == 1.0
 
 
 # -- the event counter ---------------------------------------------------

@@ -1,13 +1,15 @@
 """Differential tests: the production kernel vs the all-queued reference.
 
-The production kernel resumes next-in-line grants and link completions
-in-line and serves ``yield delay`` from one reusable timer per process
-(docs/performance.md, "Order-exact waits").  ``reference_kernel`` queues
-every event and builds a Timeout for every delay.  Random process
-programs -- integer delays that force same-instant ties, convoy locks,
-multi-slot resources, shared waits and ``all_of`` barriers, zero-byte
-transfers, blackout-failed and aborted transfers -- must produce the
-identical interleaved trace on both, and the reference must resolve
+The production kernel resumes next-in-line grants, link completions and
+timed waits in-line and serves ``yield delay`` from one reusable timer
+per process (docs/performance.md, "Order-exact waits").
+``reference_kernel`` queues every event and builds a Timeout for every
+delay.  Random process programs -- half-integer delays that force
+same-instant ties and waits ending before, at and after the heap head,
+convoy locks, multi-slot resources, shared waits and ``all_of``
+barriers, zero-byte transfers, blackout-failed and aborted transfers --
+must produce the identical interleaved trace on both, also when the run
+is sliced by ``run(until)`` horizons, and the reference must resolve
 exactly ``events_processed + events_inlined`` events.
 """
 
@@ -33,7 +35,8 @@ def _blackout(nbytes):
     return _Blackout(nbytes)
 
 
-_delays = st.integers(min_value=0, max_value=3)
+#: Half-integer delays: exact in binary, so sums tie exactly.
+_delays = st.integers(min_value=0, max_value=6).map(lambda half: half / 2)
 _op = st.one_of(
     st.tuples(st.just("wait"), _delays),
     st.tuples(st.just("use"), st.integers(0, len(CAPACITIES) - 1), _delays),
@@ -53,11 +56,22 @@ _programs = st.fixed_dictionaries({
                           min_size=1, max_size=6),
     "gate_times": st.lists(_delays, min_size=GATES, max_size=GATES),
 })
+#: Several processes woken by one gate, then waiting: the gate's
+#: dispatch has many callbacks, so no waiter's timed wait may end
+#: before the last waiter has woken.
+_fan_outs = st.fixed_dictionaries({
+    "processes": st.lists(
+        st.lists(st.tuples(st.just("wait"), _delays), min_size=1,
+                 max_size=4).map(lambda waits: [("gate", 0)] + waits),
+        min_size=2, max_size=4),
+    "gate_times": st.lists(_delays, min_size=GATES, max_size=GATES),
+})
 
 
 def run_program(sim, program, drive=None):
     """Run ``program`` on ``sim``; returns everything both kernels must
-    agree on, plus the event counts."""
+    agree on, plus the event counts.  ``drive(sim, log)`` replaces the
+    single ``sim.run()``; what it returns is compared too."""
     resources = [Resource(sim, capacity, name=f"r{capacity}")
                  for capacity in CAPACITIES]
     lock = Lock(sim, name="convoy", convoy_overhead=0.5,
@@ -121,9 +135,11 @@ def run_program(sim, program, drive=None):
         sim.process(body(pid, ops), name=f"p{pid}")
     if drive is None:
         sim.run()
+        driven = None
     else:
-        drive(sim)
+        driven = drive(sim, log)
     observed = {
+        "driven": driven,
         "log": log,
         "now": sim.now,
         "resources": [(r.total_acquisitions, r.peak_in_use, r.in_use,
@@ -134,7 +150,7 @@ def run_program(sim, program, drive=None):
     return observed, sim.events_processed, sim.events_inlined
 
 
-def _step_all(sim):
+def _step_all(sim, log):
     while True:
         try:
             sim.step()
@@ -142,15 +158,53 @@ def _step_all(sim):
             return
 
 
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(program=_programs)
-def test_fast_kernel_matches_the_all_queued_reference(program):
+def _assert_matches_the_reference(program, drive=None):
     expected, reference_events, reference_inlined = run_program(
-        ReferenceSimulation(), program)
-    observed, processed, inlined = run_program(Simulation(), program)
+        ReferenceSimulation(), program, drive)
+    observed, processed, inlined = run_program(Simulation(), program,
+                                               drive)
     assert observed == expected
     assert reference_inlined == 0
     assert processed + inlined == reference_events
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(program=_programs)
+def test_fast_kernel_matches_the_all_queued_reference(program):
+    _assert_matches_the_reference(program)
+
+
+def _sliced(horizons):
+    """A drive that runs up to each horizon in turn, then to the end,
+    recording the clock, the log length and the events resolved or
+    in-lined at every stop."""
+    def drive(sim, log):
+        stops = []
+        for until in sorted(horizons):
+            stops.append((sim.run(until), sim.now, len(log),
+                          sim.events_processed + sim.events_inlined))
+        sim.run()
+        return stops
+    return drive
+
+
+#: Quarter-second horizons: they fall exactly on half-integer wait ends
+#: and strictly between two of them.
+_horizons = st.lists(st.integers(min_value=0, max_value=80).map(
+    lambda quarter: quarter / 4), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(program=_programs, horizons=_horizons)
+def test_sliced_runs_match_the_reference_at_every_horizon(program,
+                                                          horizons):
+    _assert_matches_the_reference(program, _sliced(horizons))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(program=_fan_outs)
+def test_fanned_out_waiters_match_the_reference(program):
+    _assert_matches_the_reference(program)
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -249,3 +303,109 @@ def test_lone_completion_with_a_same_instant_heap_head_is_queued(tie):
     assert results[0] == results[1]
     assert fast.events_processed + fast.events_inlined \
         == reference.events_processed
+
+
+def _waits_then_log(sim, log, name, delays):
+    for delay in delays:
+        yield delay
+        log.append((sim.now, name))
+
+
+def test_timed_waits_are_in_lined_and_conserved():
+    """A lone process: every wait is next in line, so only the
+    bootstrap and the exit are queued."""
+    fast, reference = Simulation(), ReferenceSimulation()
+    logs = []
+    for sim in (fast, reference):
+        log = []
+        sim.process(_waits_then_log(sim, log, "a", (1.0, 0.5, 2.0)))
+        sim.run()
+        logs.append(log)
+    assert logs[0] == logs[1] == [(1.0, "a"), (1.5, "a"), (3.5, "a")]
+    assert (fast.events_processed, fast.events_inlined) == (2, 3)
+    assert reference.events_processed == 5
+
+
+def test_timed_wait_does_not_pass_the_run_horizon():
+    sim = Simulation()
+    log = []
+    sim.process(_waits_then_log(sim, log, "a", (1.0, 1.0)))
+    assert sim.run(until=1.5) == 1.5
+    assert sim.now == 1.5
+    assert log == [(1.0, "a")]
+    assert sim.run() == 2.0
+    assert log == [(1.0, "a"), (2.0, "a")]
+
+
+def test_timed_wait_ending_at_the_horizon_is_in_lined():
+    sim = Simulation()
+    log = []
+    sim.process(_waits_then_log(sim, log, "a", (1.0, 1.0)))
+    assert sim.run(until=2.0) == 2.0
+    assert log == [(1.0, "a"), (2.0, "a")]
+    assert sim.events_inlined == 2
+
+
+@pytest.mark.parametrize("head", [0.5, 1.0, 1.5])
+def test_timed_wait_against_the_heap_head(head):
+    """A wait ending before, at and after another process's pending
+    timer: only one ending strictly before it may be in-lined, and the
+    order matches the reference every time."""
+    results = []
+    for sim in (Simulation(), ReferenceSimulation()):
+        log = []
+        sim.process(_waits_then_log(sim, log, "sleeper", (head,)))
+        sim.process(_waits_then_log(sim, log, "waiter", (0.0, 1.0)))
+        sim.run()
+        results.append((log, sim.events_processed + sim.events_inlined))
+    assert results[0] == results[1]
+
+
+def test_timed_wait_behind_a_same_instant_trigger_is_queued():
+    """A zero-delay trigger is still in the FIFO: its waiter runs at
+    ``now``, before the triggering process's wait ends."""
+    sim = Simulation()
+    gate = sim.event()
+    log = []
+
+    def opener():
+        yield 1.0
+        gate.succeed()
+        yield 1.0
+        log.append((sim.now, "opener"))
+
+    def waiter():
+        yield gate
+        log.append((sim.now, "waiter"))
+
+    sim.process(opener())
+    sim.process(waiter())
+    sim.run()
+    assert log == [(1.0, "waiter"), (2.0, "opener")]
+
+
+def test_timed_wait_during_multi_callback_dispatch_is_queued():
+    """Two waiters of one event: the first one's timed wait must not
+    end before the second waiter has run at the same instant."""
+    sim = Simulation()
+    gate = sim.event()
+    log = []
+
+    def waiter(pid):
+        yield gate
+        log.append((sim.now, "woke", pid))
+        yield 1.0
+        log.append((sim.now, "slept", pid))
+
+    def opener():
+        yield 1.0
+        gate.succeed()
+        # Stay alive, so the gate's waiters run with an empty FIFO.
+        yield 5.0
+
+    sim.process(waiter(0))
+    sim.process(waiter(1))
+    sim.process(opener())
+    sim.run()
+    assert log == [(1.0, "woke", 0), (1.0, "woke", 1),
+                   (2.0, "slept", 0), (2.0, "slept", 1)]
