@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
@@ -366,8 +367,10 @@ class StreamSpec:
                f"stream.tenants must be a positive integer, "
                f"got {self.tenants!r}")
         resolve_arrival(self.arrival)
-        _check(isinstance(self.rate, (int, float)) and self.rate > 0,
-               f"stream.rate must be a positive number, got {self.rate!r}")
+        _check(isinstance(self.rate, (int, float))
+               and math.isfinite(self.rate) and self.rate > 0,
+               f"stream.rate must be a positive finite number, "
+               f"got {self.rate!r}")
         _check(isinstance(self.requests, int) and self.requests >= 1,
                f"stream.requests must be a positive integer, "
                f"got {self.requests!r}")
@@ -382,9 +385,10 @@ class StreamSpec:
                f"got {self.queue_bound!r}")
         _check(self.slo_stretch is None
                or (isinstance(self.slo_stretch, (int, float))
+                   and math.isfinite(self.slo_stretch)
                    and self.slo_stretch > 0),
-               f"stream.slo_stretch must be a positive number or null, "
-               f"got {self.slo_stretch!r}")
+               f"stream.slo_stretch must be a positive finite number or "
+               f"null, got {self.slo_stretch!r}")
         _check(isinstance(self.shed, bool),
                f"stream.shed must be a boolean, got {self.shed!r}")
 

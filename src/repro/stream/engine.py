@@ -16,6 +16,13 @@ expression kept in the exact shape of
 shape is load-bearing: the differential wall replays a training epoch's
 job partition (:func:`~repro.stream.requests.epoch_request_plans`)
 through this engine and requires the epoch timings back to ~1e-12.
+
+The per-request cost matches the epoch worker's.  A seeded tenant's
+slotted :class:`~repro.stream.report.RequestRecord` list is built
+straight from its arrival schedule, already in ``(arrival, index)``
+order, with no intermediate plan objects and no sort; only explicit
+``plans=`` are validated and sorted.  Each worker serves its requests
+in its own generator frame, with the per-tenant constants bound once.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from repro.sim.cpu import Machine
 from repro.sim.events import Event, Simulation
 from repro.stream.report import (RequestRecord, StreamReport,
                                  TenantStreamResult)
-from repro.stream.requests import StreamTenantSpec, request_plans
+from repro.stream.requests import StreamTenantSpec, arrival_schedule
 
 
 class _Shard:
@@ -55,12 +62,7 @@ class _Shard:
 
 @dataclass
 class _TenantStream:
-    """Runtime state plus hot-loop bindings for one tenant stream.
-
-    The binding fields cache every per-request constant exactly as the
-    epoch worker's hot-loop bindings do, so the request body below can
-    keep the epoch body's expression shapes verbatim.
-    """
+    """Runtime state for one tenant stream."""
 
     spec: StreamTenantSpec
     plan: SplitPlan
@@ -70,20 +72,42 @@ class _TenantStream:
     pinned: bool = False
     closed: bool = False
     depth: int = 0          # requests waiting in queues (not in service)
-    # -- request-body bindings (set once before simulation start) --
-    namespace: tuple = ()
-    stored_name: str = ""
-    stored_bytes_ps: float = 0.0
-    stored_bytes_ps_raw: float = 0.0
-    opens_per_sample: float = 0.0
-    open_latency: float = 0.0
-    open_factor: float = 1.0
-    overhead_ps: float = 0.0
-    deser_ps: Optional[float] = None
-    online_charges: tuple = ()
 
     def shard_for(self, record: RequestRecord) -> _Shard:
         return self.shards[record.pinned] if self.pinned else self.shards[0]
+
+
+def _explicit_records(spec: StreamTenantSpec, planned) -> tuple:
+    """Validate explicit :class:`~repro.stream.requests.RequestPlan`
+    entries; returns their records in ``(arrival, index)`` order and
+    whether they pin requests to workers."""
+    planned = tuple(planned)
+    if not planned:
+        raise ProfilingError(f"stream {spec.tenant!r}: empty request plan")
+    pinned_flags = {request.worker is not None for request in planned}
+    if len(pinned_flags) != 1:
+        raise ProfilingError(
+            f"stream {spec.tenant!r}: cannot mix pinned and "
+            f"unpinned requests")
+    pinned = pinned_flags.pop()
+    if pinned:
+        if spec.queue_bound or spec.shed:
+            raise ProfilingError(
+                f"stream {spec.tenant!r}: pinned (sharded) requests "
+                f"bypass admission control; queue_bound/shed must "
+                f"be off")
+        bad = [request.worker for request in planned
+               if not 0 <= request.worker < spec.workers]
+        if bad:
+            raise ProfilingError(
+                f"stream {spec.tenant!r}: pinned worker ids {bad} "
+                f"outside 0..{spec.workers - 1}")
+    records = [RequestRecord(index=request.index, arrival=request.arrival,
+                             batch=request.batch, chunk=request.chunk,
+                             pinned=request.worker)
+               for request in sorted(planned,
+                                     key=lambda r: (r.arrival, r.index))]
+    return records, pinned
 
 
 class StreamingService:
@@ -170,75 +194,27 @@ class StreamingService:
                  plans: Optional[dict]) -> _TenantStream:
         plan = spec.resolve_plan()
         if plans is not None and spec.tenant in plans:
-            planned = tuple(plans[spec.tenant])
+            records, pinned = _explicit_records(spec, plans[spec.tenant])
         else:
             # Stride over the artifact in batch-sized chunks: a request
             # re-reading a chunk within cache lifetime hits the shared
-            # page cache, like epoch >= 1 of a training run.
+            # page cache, like epoch >= 1 of a training run.  The records
+            # are request_plans() expanded in place: the schedule is
+            # sorted and the indices ascend, so the list is already in
+            # (arrival, index) order.
             chunk_count = max(1, plan.pipeline.sample_count // spec.batch)
-            planned = request_plans(spec, seed=seed,
-                                    chunk_count=chunk_count)
-        if not planned:
-            raise ProfilingError(
-                f"stream {spec.tenant!r}: empty request plan")
-        pinned_flags = {request.worker is not None for request in planned}
-        if len(pinned_flags) != 1:
-            raise ProfilingError(
-                f"stream {spec.tenant!r}: cannot mix pinned and "
-                f"unpinned requests")
-        pinned = pinned_flags.pop()
-        if pinned:
-            if spec.queue_bound or spec.shed:
-                raise ProfilingError(
-                    f"stream {spec.tenant!r}: pinned (sharded) requests "
-                    f"bypass admission control; queue_bound/shed must "
-                    f"be off")
-            bad = [request.worker for request in planned
-                   if not 0 <= request.worker < spec.workers]
-            if bad:
-                raise ProfilingError(
-                    f"stream {spec.tenant!r}: pinned worker ids {bad} "
-                    f"outside 0..{spec.workers - 1}")
-        records = [RequestRecord(index=request.index,
-                                 arrival=request.arrival,
-                                 batch=request.batch,
-                                 chunk=request.chunk,
-                                 pinned=request.worker)
-                   for request in sorted(planned,
-                                         key=lambda r: (r.arrival, r.index))]
-        ctx = _TenantStream(
+            batch = spec.batch
+            records = [RequestRecord(index, arrival, batch,
+                                     index % chunk_count)
+                       for index, arrival
+                       in enumerate(arrival_schedule(spec, seed))]
+            pinned = False
+        return _TenantStream(
             spec=spec, plan=plan,
             result=TenantStreamResult(spec=spec, records=records),
             records=records,
             shards=[_Shard() for _ in range(spec.workers if pinned else 1)],
             pinned=pinned)
-        self._bind(ctx)
-        return ctx
-
-    def _bind(self, ctx: _TenantStream) -> None:
-        """Freeze the request-body constants (epoch hot-loop bindings).
-
-        Streams always serve the pre-materialised, uncompressed artifact
-        with the page cache live -- the ``materialize_offline=False``,
-        ``cache_mode="system"`` corner of the epoch model.
-        """
-        plan = ctx.plan
-        stored = plan.materialized
-        ctx.stored_bytes_ps = plan.stored_bytes_per_sample(None)
-        ctx.stored_bytes_ps_raw = stored.bytes_per_sample
-        ctx.namespace = ("stream", ctx.spec.tenant)
-        ctx.stored_name = stored.name
-        ctx.opens_per_sample = SimulatedBackend._opens_per_sample(
-            stored, plan.pipeline.sample_count)
-        ctx.open_latency = self.environment.storage.pipeline_open_latency
-        ctx.open_factor = stored.open_latency_factor
-        ctx.overhead_ps = cal.runtime_overhead(ctx.stored_bytes_ps_raw)
-        ctx.deser_ps = (cal.DESER_FIXED + ctx.stored_bytes_ps_raw
-                        * stored.deser_penalty / cal.DESER_BW_PER_THREAD
-                        if stored.record_format else None)
-        ctx.online_charges = tuple(
-            (step.holds_gil, step.cpu_seconds)
-            for step in plan.online_steps if step.cpu_seconds > 0)
 
     def _reset(self, streams: Sequence[StreamTenantSpec]) -> None:
         """A fresh host for one run; the widest tenant's worker count
@@ -265,10 +241,11 @@ class StreamingService:
             seconds_per_sample = 1.0 / estimate.throughput
             ctx.result.baseline_batch_seconds = (
                 ctx.spec.batch * seconds_per_sample)
-            if ctx.spec.slo_stretch is None:
+            slo_stretch = ctx.spec.slo_stretch
+            if slo_stretch is None:
                 continue
             for record in ctx.records:
-                record.deadline = (ctx.spec.slo_stretch
+                record.deadline = (slo_stretch
                                    * record.batch * seconds_per_sample)
 
     # -- the per-tenant processes --------------------------------------------
@@ -330,11 +307,53 @@ class StreamingService:
 
     def _worker_process(self, ctx: _TenantStream, wid: int
                         ) -> Generator[Event | float, None, None]:
-        """Pull requests until the stream closes and the queue drains."""
+        """Pull requests until the stream closes and the queue drains,
+        serving each through the shared resource model.
+
+        The serving half is expression-for-expression the per-job body
+        of ``SimulatedBackend.epoch_process`` (page-cache lookup,
+        metadata opens, link read, runtime overhead, deserialize, online
+        CPU/GIL charges, dispatch hand-off) minus the phases a stream
+        never runs (decompression, shuffle, app-cache) -- keep it that
+        way or the 1e-12 differential wall breaks.  Like the epoch
+        worker it runs in this one generator frame, with every
+        per-tenant constant bound once per worker.  Streams always
+        serve the pre-materialised, uncompressed artifact with the page
+        cache live -- the ``materialize_offline=False``,
+        ``cache_mode="system"`` corner of the epoch model.
+        """
         sim = self._sim
         tracer = self.tracer
         lane = f"{ctx.spec.tenant}/w{wid}"
         shard = ctx.shards[wid] if ctx.pinned else ctx.shards[0]
+        machine = self._machine
+        cluster = self._cluster
+        result = ctx.result
+        completions = result.completions
+        page_cache = machine.page_cache
+        memory_link = machine.memory_link
+        metadata = cluster.metadata
+        read_link = cluster.read_link
+        cores = machine.cores
+        dispatch = machine.dispatch
+        gil = machine.gil
+        plan = ctx.plan
+        stored = plan.materialized
+        namespace = ("stream", ctx.spec.tenant)
+        stored_name = stored.name
+        stored_bytes_ps = plan.stored_bytes_per_sample(None)
+        stored_bytes_ps_raw = stored.bytes_per_sample
+        opens_per_sample = SimulatedBackend._opens_per_sample(
+            stored, plan.pipeline.sample_count)
+        open_latency = self.environment.storage.pipeline_open_latency
+        open_factor = stored.open_latency_factor
+        overhead_ps = cal.runtime_overhead(stored_bytes_ps_raw)
+        deser_ps = (cal.DESER_FIXED + stored_bytes_ps_raw
+                    * stored.deser_penalty / cal.DESER_BW_PER_THREAD
+                    if stored.record_format else None)
+        online_charges = tuple(
+            (step.holds_gil, step.cpu_seconds)
+            for step in plan.online_steps if step.cpu_seconds > 0)
         while True:
             if shard.queue:
                 record = shard.queue.popleft()
@@ -351,7 +370,7 @@ class StreamingService:
                     break
             record.worker = wid
             record.started = sim.now
-            # The span brackets _request_body without touching it: the
+            # The span brackets the body without touching it: the
             # body's expression shapes are pinned by the 1e-12
             # differential wall and the tracer only reads the clock.
             span = None
@@ -359,93 +378,68 @@ class StreamingService:
                 span = tracer.start(
                     f"request {record.index}", "request", lane, sim.now,
                     args={"batch": record.batch, "chunk": record.chunk})
-            yield from self._request_body(ctx, record)
+            k = record.batch
+            opens = opens_per_sample * k
+            chunk_key = (namespace, stored_name, None, record.chunk)
+            disk_bytes = k * stored_bytes_ps
+            if page_cache.lookup(chunk_key):
+                result.cache_hits += 1
+                result.bytes_from_cache += disk_bytes
+                cluster.cache_bytes_read += disk_bytes
+                yield memory_link.transfer(disk_bytes)
+            else:
+                result.cache_misses += 1
+                result.bytes_from_storage += disk_bytes
+                if opens > 0:
+                    yield metadata.acquire()
+                    try:
+                        yield opens * open_latency * open_factor
+                    finally:
+                        metadata.release()
+                yield read_link.transfer(disk_bytes, "")
+                page_cache.insert(chunk_key, disk_bytes)
+            yield k * overhead_ps
+            if deser_ps is not None:
+                seconds = k * deser_ps
+                machine.cpu_busy_seconds += seconds
+                yield cores.acquire()
+                try:
+                    yield seconds
+                finally:
+                    cores.release()
+            for holds_gil, cpu_seconds in online_charges:
+                if holds_gil:
+                    yield gil.acquire()
+                    try:
+                        waiters = len(gil._waiters)
+                        if waiters > gil.max_convoy_waiters:
+                            waiters = gil.max_convoy_waiters
+                        per_unit = cpu_seconds + waiters * gil.convoy_overhead
+                        yield k * per_unit
+                    finally:
+                        gil.release()
+                else:
+                    machine.cpu_busy_seconds += k * cpu_seconds
+                    yield cores.acquire()
+                    try:
+                        yield k * cpu_seconds
+                    finally:
+                        cores.release()
+            yield dispatch.acquire()
+            try:
+                waiters = len(dispatch._waiters)
+                if waiters > dispatch.max_convoy_waiters:
+                    waiters = dispatch.max_convoy_waiters
+                per_unit = (machine.dispatch_cost
+                            + waiters * dispatch.convoy_overhead)
+                yield k * per_unit
+            finally:
+                dispatch.release()
             record.completed = sim.now
             if span is not None:
                 tracer.finish(span, sim.now)
-            ctx.result.completions.append(record)
+            completions.append(record)
         self._live_workers -= 1
-
-    def _request_body(self, ctx: _TenantStream, record: RequestRecord
-                      ) -> Generator[Event | float, None, None]:
-        """Serve one request batch through the shared resource model.
-
-        Expression-for-expression the per-job body of
-        ``SimulatedBackend.epoch_process`` (page-cache lookup, metadata
-        opens, link read, runtime overhead, deserialize, online
-        CPU/GIL charges, dispatch hand-off) minus the phases a stream
-        never runs (decompression, shuffle, app-cache) -- keep it that
-        way or the 1e-12 differential wall breaks.
-        """
-        sim = self._sim
-        machine = self._machine
-        cluster = self._cluster
-        result = ctx.result
-        page_cache = machine.page_cache
-        memory_link = machine.memory_link
-        metadata = cluster.metadata
-        read_link = cluster.read_link
-        cores = machine.cores
-        dispatch = machine.dispatch
-        gil = machine.gil
-
-        k = record.batch
-        opens = ctx.opens_per_sample * k
-        chunk_key = (ctx.namespace, ctx.stored_name, None, record.chunk)
-        disk_bytes = k * ctx.stored_bytes_ps
-        if page_cache.lookup(chunk_key):
-            result.cache_hits += 1
-            result.bytes_from_cache += disk_bytes
-            cluster.cache_bytes_read += disk_bytes
-            yield memory_link.transfer(disk_bytes)
-        else:
-            result.cache_misses += 1
-            result.bytes_from_storage += disk_bytes
-            if opens > 0:
-                yield metadata.acquire()
-                try:
-                    yield opens * ctx.open_latency * ctx.open_factor
-                finally:
-                    metadata.release()
-            yield read_link.transfer(disk_bytes, "")
-            page_cache.insert(chunk_key, disk_bytes)
-        yield k * ctx.overhead_ps
-        if ctx.deser_ps is not None:
-            seconds = k * ctx.deser_ps
-            machine.cpu_busy_seconds += seconds
-            yield cores.acquire()
-            try:
-                yield seconds
-            finally:
-                cores.release()
-        for holds_gil, cpu_seconds in ctx.online_charges:
-            if holds_gil:
-                yield gil.acquire()
-                try:
-                    waiters = len(gil._waiters)
-                    if waiters > gil.max_convoy_waiters:
-                        waiters = gil.max_convoy_waiters
-                    per_unit = cpu_seconds + waiters * gil.convoy_overhead
-                    yield k * per_unit
-                finally:
-                    gil.release()
-            else:
-                machine.cpu_busy_seconds += k * cpu_seconds
-                yield cores.acquire()
-                try:
-                    yield k * cpu_seconds
-                finally:
-                    cores.release()
-        yield dispatch.acquire()
-        try:
-            waiters = len(dispatch._waiters)
-            if waiters > dispatch.max_convoy_waiters:
-                waiters = dispatch.max_convoy_waiters
-            per_unit = (machine.dispatch_cost
-                        + waiters * dispatch.convoy_overhead)
-            yield k * per_unit
-        finally:
-            dispatch.release()
 
     # -- reporting -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.serve.service import percentile
 from repro.stream.requests import StreamTenantSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Lifecycle of one request through the stream simulation.
 
@@ -28,6 +28,8 @@ class RequestRecord:
     when the request was actually admitted (later under backpressure);
     ``started``/``completed`` bracket service.  Exactly one of
     ``completed``/``shed`` is set for every request after a run.
+    Slotted: a run holds one record per request, and a slotted record
+    has no per-instance ``__dict__``.
     """
 
     index: int

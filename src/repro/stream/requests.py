@@ -72,9 +72,10 @@ class StreamTenantSpec:
             raise ProfilingError(
                 f"stream {self.tenant!r}: unknown arrival kind "
                 f"{self.arrival!r}; known: {sorted(ARRIVAL_KINDS)}")
-        if self.rate <= 0:
+        if not (math.isfinite(self.rate) and self.rate > 0):
             raise ProfilingError(
-                f"stream {self.tenant!r}: rate must be positive")
+                f"stream {self.tenant!r}: rate must be positive and "
+                f"finite, got {self.rate!r}")
         if self.requests < 1:
             raise ProfilingError(
                 f"stream {self.tenant!r}: need at least one request")
@@ -87,12 +88,15 @@ class StreamTenantSpec:
         if self.queue_bound < 0:
             raise ProfilingError(
                 f"stream {self.tenant!r}: queue_bound must be >= 0")
-        if self.slo_stretch is not None and self.slo_stretch <= 0:
+        if self.slo_stretch is not None and not (
+                math.isfinite(self.slo_stretch) and self.slo_stretch > 0):
             raise ProfilingError(
-                f"stream {self.tenant!r}: slo_stretch must be positive")
-        if self.start < 0:
+                f"stream {self.tenant!r}: slo_stretch must be positive "
+                f"and finite, got {self.slo_stretch!r}")
+        if not (math.isfinite(self.start) and self.start >= 0):
             raise ProfilingError(
-                f"stream {self.tenant!r}: negative start time")
+                f"stream {self.tenant!r}: start time must be >= 0 and "
+                f"finite, got {self.start!r}")
 
     def resolve_plan(self) -> SplitPlan:
         """Build the split plan from the pipeline registry."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import (DiagnoseSpec, EnvironmentSpec, ExecSpec,
                        ExperimentSpec, FanoutSpec, RunSpec, ServeSpec,
-                       SpecError, TuneSpec)
+                       SpecError, StreamSpec, TuneSpec)
 from repro.api.spec import SINGLE_PIPELINE_KINDS, WORKLOAD_KINDS
 
 
@@ -104,11 +104,13 @@ def test_unknown_pipeline_suggests_close_match():
      "unknown storage device"),
     ("environment", EnvironmentSpec(backend="cuda"), "unknown backend"),
     ("executor", ExecSpec(jobs=0), "executor.jobs"),
+    ("stream", StreamSpec(rate=float("inf")), "stream.rate"),
+    ("stream", StreamSpec(slo_stretch=float("inf")), "stream.slo_stretch"),
 ])
 def test_section_validation_errors_are_actionable(section, payload,
                                                   fragment):
     kind = {"serve": "serve", "diagnose": "diagnose", "tune": "tune",
-            "fanout": "fanout"}.get(section, "profile")
+            "fanout": "fanout", "stream": "stream"}.get(section, "profile")
     pipelines = ("MP3",) if kind in SINGLE_PIPELINE_KINDS else ()
     spec = ExperimentSpec(kind=kind, pipelines=pipelines,
                           **{section: payload})

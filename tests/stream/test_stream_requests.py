@@ -36,6 +36,12 @@ class TestStreamTenantSpec:
         dict(queue_bound=-1),
         dict(slo_stretch=0.0),
         dict(start=-1.0),
+        dict(rate=float("nan")),
+        dict(rate=float("inf")),
+        dict(slo_stretch=float("nan")),
+        dict(slo_stretch=float("inf")),
+        dict(start=float("nan")),
+        dict(start=float("inf")),
     ])
     def test_validation(self, bad):
         with pytest.raises(ProfilingError):

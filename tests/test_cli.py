@@ -237,6 +237,17 @@ def test_unknown_names_exit_2_across_registries(capsys):
         assert fragment in err, (argv, err)
 
 
+@pytest.mark.parametrize("flag", ["--rate", "--slo-stretch"])
+def test_stream_rejects_non_finite_knobs(capsys, flag):
+    """An infinite rate or SLO stretch is a spec error (exit 2), not a
+    run whose deadlines and latencies mean nothing."""
+    argv = ["stream", "--tenants", "1", "--requests", "4", flag, "inf"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "presto: error:" in err
+    assert "finite" in err
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
