@@ -362,6 +362,11 @@ class StreamSpec:
     slo_stretch: Optional[float] = 3.0
     shed: bool = False
 
+    def __post_init__(self):
+        # 0 disables deadlines, as ``presto stream --slo-stretch 0`` does.
+        if self.slo_stretch == 0 and type(self.slo_stretch) is not bool:
+            object.__setattr__(self, "slo_stretch", None)
+
     def validate(self) -> None:
         _check(isinstance(self.tenants, int) and self.tenants >= 1,
                f"stream.tenants must be a positive integer, "
@@ -387,8 +392,8 @@ class StreamSpec:
                or (isinstance(self.slo_stretch, (int, float))
                    and math.isfinite(self.slo_stretch)
                    and self.slo_stretch > 0),
-               f"stream.slo_stretch must be a positive finite number or "
-               f"null, got {self.slo_stretch!r}")
+               f"stream.slo_stretch must be a positive finite number, or "
+               f"0 or null for no deadlines, got {self.slo_stretch!r}")
         _check(isinstance(self.shed, bool),
                f"stream.shed must be a boolean, got {self.shed!r}")
 

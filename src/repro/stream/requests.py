@@ -145,16 +145,19 @@ def _poisson_schedule(spec: StreamTenantSpec, seed: int) -> tuple:
 def _burst_schedule(spec: StreamTenantSpec, seed: int) -> tuple:
     """Bursts of :data:`BURST_SIZE` back-to-back requests whose burst
     gaps preserve the mean rate."""
-    rng = _schedule_rng(spec, seed)
+    draw = _schedule_rng(spec, seed).expovariate
     intra = 0.05 / spec.rate
+    steps = [offset * intra for offset in range(BURST_SIZE)]
+    burst_rate = spec.rate / BURST_SIZE
     now = spec.start
-    times = []
-    while len(times) < spec.requests:
-        now += rng.expovariate(spec.rate / BURST_SIZE)
-        for offset in range(BURST_SIZE):
-            if len(times) >= spec.requests:
-                break
-            times.append(now + offset * intra)
+    times: list[float] = []
+    append = times.append
+    for _ in range(math.ceil(spec.requests / BURST_SIZE)):
+        now += draw(burst_rate)
+        for step in steps:
+            append(now + step)
+    # The last burst is cut short; bursts may overlap, hence the sort.
+    del times[spec.requests:]
     return tuple(sorted(times))
 
 

@@ -154,3 +154,20 @@ def test_load_spec_dict_skips_validation(tmp_path):
     path = tmp_path / "raw.yaml"
     path.write_text("kind: nonsense\nextra: 1\n")
     assert load_spec_dict(path) == {"kind": "nonsense", "extra": 1}
+
+
+def test_stream_spec_file_slo_stretch_zero_disables_deadlines(tmp_path,
+                                                              capsys):
+    """``slo_stretch: 0`` in a spec file means what ``presto stream
+    --slo-stretch 0`` means: no deadlines, the same experiment."""
+    from repro.cli import main
+    path = tmp_path / "no_deadlines.yaml"
+    path.write_text("kind: stream\nstream:\n  tenants: 2\n  requests: 4\n"
+                    "  batch: 8\n  slo_stretch: 0\n")
+    spec = load_spec(path)
+    assert spec.stream.slo_stretch is None
+    assert main(["run", str(path)]) == 0
+    via_spec = capsys.readouterr().out
+    assert main(["stream", "--tenants", "2", "--requests", "4",
+                 "--batch", "8", "--slo-stretch", "0"]) == 0
+    assert via_spec == capsys.readouterr().out

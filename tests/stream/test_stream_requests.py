@@ -1,12 +1,14 @@
 """Tests for stream tenant specs and seeded arrival schedules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backends.base import RunConfig
 from repro.errors import ProfilingError
 from repro.stream import (ARRIVAL_KINDS, StreamTenantSpec, arrival_schedule,
                           epoch_request_plans, generate_stream,
                           request_plans)
+from repro.stream.requests import BURST_SIZE, _schedule_rng
 
 
 def make_spec(**overrides) -> StreamTenantSpec:
@@ -78,6 +80,47 @@ class TestArrivalSchedules:
         gaps = [b - a for a, b in zip(times, times[1:])]
         # Intra-burst gaps are tiny relative to the 1/rate mean.
         assert sum(1 for gap in gaps if gap <= 0.06) >= 8
+
+
+def _reference_burst_schedule(spec, seed):
+    """The burst schedule as first written: a length test per append."""
+    rng = _schedule_rng(spec, seed)
+    intra = 0.05 / spec.rate
+    now = spec.start
+    times = []
+    while len(times) < spec.requests:
+        now += rng.expovariate(spec.rate / BURST_SIZE)
+        for offset in range(BURST_SIZE):
+            if len(times) >= spec.requests:
+                break
+            times.append(now + offset * intra)
+    return tuple(sorted(times))
+
+
+class TestBurstScheduleDifferential:
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(seed=st.integers(0, 2**31), tenant=st.sampled_from(["t0", "t7"]),
+           rate=st.floats(min_value=1e-3, max_value=1e4),
+           start=st.floats(min_value=0.0, max_value=1e6),
+           requests=st.integers(1, 9 * BURST_SIZE + 3))
+    def test_matches_the_reference_bit_for_bit(self, seed, tenant, rate,
+                                               start, requests):
+        spec = make_spec(tenant=tenant, arrival="burst", rate=rate,
+                         start=start, requests=requests)
+        assert (arrival_schedule(spec, seed)
+                == _reference_burst_schedule(spec, seed))
+
+    @pytest.mark.parametrize("requests", [
+        1, BURST_SIZE - 1, BURST_SIZE, BURST_SIZE + 1, 360 * BURST_SIZE,
+        360 * BURST_SIZE - 1])
+    def test_whole_and_cut_bursts(self, requests):
+        # Rate 40 makes the 0.05 / rate intra-burst spacing overlap the
+        # next burst often enough that the final sort matters.
+        spec = make_spec(arrival="burst", rate=40.0, start=3.0,
+                         requests=requests)
+        times = arrival_schedule(spec, seed=11)
+        assert len(times) == requests
+        assert times == _reference_burst_schedule(spec, seed=11)
 
 
 class TestRequestPlans:
